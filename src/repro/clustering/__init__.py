@@ -11,14 +11,12 @@ from .dbscan import (
     density_cluster_indices_scalar,
 )
 from .grid import GridIndex
-from .kdtree import KDTree
 from .neighbors import BruteForceIndex
 from .unionfind import UnionFind
 
 __all__ = [
     "BruteForceIndex",
     "GridIndex",
-    "KDTree",
     "UnionFind",
     "build_neighbor_csr",
     "cluster_snapshot",

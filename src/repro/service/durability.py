@@ -35,7 +35,6 @@ import logging
 import os
 import struct
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -44,6 +43,7 @@ import numpy as np
 from ..core.types import Timestamp
 from ..extensions.streaming import MonitorState
 from ..obs import METRICS
+from ..storage import framed
 from ..testing.faults import FAULTS
 
 logger = logging.getLogger(__name__)
@@ -74,7 +74,6 @@ WAL_FILE = "feed.wal"
 CHECKPOINT_FILE = "checkpoint.bin"
 
 _CHECKPOINT_MAGIC = b"RCP1"
-_FRAME = struct.Struct(">II")  # crc32, payload length
 
 #: WAL record kinds.
 KIND_SNAPSHOT = 1
@@ -281,9 +280,10 @@ def _wal_segments(path: str) -> list:
 class FeedWAL:
     """CRC32-framed append-only journal of feed events.
 
-    Frame: ``[u32 crc][u32 len][payload]`` with the checksum over the
-    payload, so a torn or bit-flipped tail is detected on replay and the
-    log recovers to the last good record.
+    Each record is one :mod:`~repro.storage.framed` frame, so a torn or
+    bit-flipped tail is detected on replay and the log recovers to the
+    last good record.  Opening the log truncates a torn tail of the
+    active file, so appends made after a restart stay replayable.
 
     With ``segment_bytes`` set, the log rotates: once the active file
     (``feed.wal``) exceeds the limit it is atomically renamed to
@@ -300,7 +300,7 @@ class FeedWAL:
         fsync: bool = False,
         segment_bytes: Optional[int] = None,
     ):
-        if segment_bytes is not None and segment_bytes < _FRAME.size:
+        if segment_bytes is not None and segment_bytes < framed.FRAME.size:
             raise ValueError(f"segment_bytes too small: {segment_bytes}")
         self.path = path
         self.fsync = fsync
@@ -309,7 +309,7 @@ class FeedWAL:
         self._rotate_seq = (
             int(rotated[-1].rsplit(".", 1)[1]) + 1 if rotated else 0
         )
-        self._file = open(path, "ab")
+        self._file = framed.open_append(path)
         self._active_bytes = self._file.tell()
 
     def append_snapshot(
@@ -340,7 +340,7 @@ class FeedWAL:
 
     def _append(self, payload: bytes) -> None:
         with _WAL_APPEND_SECONDS.time():
-            frame = _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
+            frame = framed.encode(payload)
             FAULTS.partial_write("service.wal.append", self._file, frame)
             self._file.flush()  # into the OS: survives a killed process
             if self.fsync:
@@ -405,47 +405,15 @@ class FeedWAL:
         it (even in later segments) are beyond the consistent prefix.
         """
         for segment in _wal_segments(path) + [path]:
-            records: list = []
-            clean = FeedWAL._replay_file(segment, records)
-            yield from records
-            if not clean:
+            found = framed.read(segment)
+            yield from map(FeedWAL._decode, found.payloads)
+            if found.stop:
+                logger.warning(
+                    "feed WAL %s: %s at offset %d (%d bytes dropped); "
+                    "recovered to last good record",
+                    segment, found.stop, found.end, found.size - found.end,
+                )
                 return
-
-    @staticmethod
-    def _replay_file(path: str, out: list) -> bool:
-        """Scan one file into ``out``; False when it ended at a bad tail."""
-        if not os.path.exists(path):
-            return True
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        while offset + _FRAME.size <= len(data):
-            crc, length = _FRAME.unpack_from(data, offset)
-            start = offset + _FRAME.size
-            end = start + length
-            if end > len(data):
-                logger.warning(
-                    "feed WAL %s: torn record at offset %d (%d bytes dropped)",
-                    path, offset, len(data) - offset,
-                )
-                return False
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                logger.warning(
-                    "feed WAL %s: checksum mismatch at offset %d "
-                    "(%d bytes dropped); recovered to last good record",
-                    path, offset, len(data) - offset,
-                )
-                return False
-            out.append(FeedWAL._decode(payload))
-            offset = end
-        if offset != len(data):
-            logger.warning(
-                "feed WAL %s: torn frame header at offset %d (%d bytes dropped)",
-                path, offset, len(data) - offset,
-            )
-            return False
-        return True
 
     @staticmethod
     def _decode(payload: bytes) -> WalRecord:
@@ -598,11 +566,7 @@ class ServiceJournal:
         """
         with _CHECKPOINT_SECONDS.time():
             payload = encode_checkpoint(state)
-            blob = (
-                _CHECKPOINT_MAGIC
-                + _FRAME.pack(zlib.crc32(payload), len(payload))
-                + payload
-            )
+            blob = _CHECKPOINT_MAGIC + framed.encode(payload)
             tmp_path = self.checkpoint_path + ".tmp"
             with open(tmp_path, "wb") as handle:
                 FAULTS.partial_write("service.checkpoint.write", handle, blob)
@@ -623,21 +587,16 @@ class ServiceJournal:
         path = self.checkpoint_path
         if not os.path.exists(path):
             return None
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        header = len(_CHECKPOINT_MAGIC) + _FRAME.size
-        if len(blob) < header or blob[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
+        found = framed.read(path, _CHECKPOINT_MAGIC)
+        if found is None:
             logger.warning("checkpoint %s: bad header; ignoring it", path)
             return None
-        crc, length = _FRAME.unpack_from(blob, len(_CHECKPOINT_MAGIC))
-        payload = blob[header : header + length]
-        if len(payload) != length or zlib.crc32(payload) != crc:
+        if not found.payloads:
             logger.warning(
-                "checkpoint %s: truncated or corrupt (%d of %d payload "
-                "bytes); ignoring it", path, len(payload), length,
+                "checkpoint %s: %s; ignoring it", path, found.stop or "empty"
             )
             return None
-        return decode_checkpoint(payload)
+        return decode_checkpoint(found.payloads[0])
 
     def pending_records(
         self, applied: Optional[Dict[str, int]] = None

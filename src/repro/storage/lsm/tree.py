@@ -62,7 +62,7 @@ class LSMTree:
         self._next_run = 0
         self._open_existing()
         self._wal = WriteAheadLog(self._wal_path)
-        for key, value in WriteAheadLog.replay(self._wal_path):
+        for key, value in self._wal.recover():
             self._memtable.put(key, value)
 
     # -- lifecycle -----------------------------------------------------------

@@ -6,6 +6,11 @@ detects not just a truncated final record (a torn write) but also a
 bit-flipped or overwritten tail.  Recovery keeps every verified entry up
 to the first bad one and logs a warning for whatever was dropped — the
 same contract real LSM engines ship (RocksDB's ``kTolerateCorruptedTailRecords``).
+:meth:`WriteAheadLog.recover` then truncates the bad tail, so appends
+made after a restart are never hidden behind it.
+
+The frame differs from :mod:`repro.storage.framed` (its checksum also
+covers the length fields), so this log keeps its own scanner.
 
 Appends are flushed to the OS on every record, so a killed *process*
 (SIGKILL) loses nothing that ``append`` returned for; surviving a killed
@@ -60,15 +65,29 @@ class WriteAheadLog:
     def close(self) -> None:
         self._file.close()
 
+    def recover(self) -> Iterator[Tuple[bytes, bytes]]:
+        """Replay this log, then truncate it to the last verified entry."""
+        end = 0
+        for end, key, value in WriteAheadLog._entries(self.path):
+            yield key, value
+        if end < os.path.getsize(self.path):
+            self._file.truncate(end)
+
     @staticmethod
     def replay(path: str) -> Iterator[Tuple[bytes, bytes]]:
         """Yield verified entries in write order; stop at a bad tail.
 
         A record that is truncated *or* fails its checksum ends the
         replay: everything before it is recovered, the bad tail is
-        reported via :mod:`logging` and ignored (the next ``truncate``
-        discards it for good).
+        reported via :mod:`logging` and ignored (:meth:`recover` or the
+        next ``truncate`` discards it for good).
         """
+        for _, key, value in WriteAheadLog._entries(path):
+            yield key, value
+
+    @staticmethod
+    def _entries(path: str) -> Iterator[Tuple[int, bytes, bytes]]:
+        """``(end offset, key, value)`` per verified entry."""
         if not os.path.exists(path):
             return
         with open(path, "rb") as handle:
@@ -93,6 +112,7 @@ class WriteAheadLog:
                 return
             key_start = offset + _HEADER.size
             yield (
+                end,
                 data[key_start : key_start + key_len],
                 data[key_start + key_len : end],
             )

@@ -11,6 +11,9 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import repro
 import repro.api
 
 SNAPSHOT = pathlib.Path(__file__).resolve().parent / "api_surface.txt"
@@ -59,6 +62,19 @@ def test_star_import_honours_all():
     exec("from repro.api import *", namespace)
     exported = {name for name in namespace if not name.startswith("_")}
     assert exported == set(repro.api.__all__)
+
+
+def test_top_level_mine_convoys_alias_is_gone():
+    """``mine_convoys`` lives in ``repro.core`` only; the top level has no
+    alias for it and still raises for unknown names."""
+    from repro.core import mine_convoys
+
+    assert callable(mine_convoys)
+    assert "mine_convoys" not in repro.__all__
+    with pytest.raises(AttributeError, match="mine_convoys"):
+        repro.mine_convoys
+    with pytest.raises(AttributeError, match="frobnicate"):
+        repro.frobnicate
 
 
 def test_devtools_stay_off_the_public_surface():

@@ -114,7 +114,7 @@ class TestServeQuery:
     def test_serve_matches_mine(self, planted_csv, tmp_path, backend, capsys):
         path = str(tmp_path / f"idx-{backend}")
         assert main(["serve", planted_csv, "-m", "3", "-k", "10", "--eps",
-                     "10.0", "--index-dir", path, "--backend", backend]) == 0
+                     "10.0", "--index-dir", path, "--store", backend]) == 0
         served = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("[")]
         assert main(["mine", planted_csv, "-m", "3", "-k", "10",
@@ -122,6 +122,13 @@ class TestServeQuery:
         mined = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[")]
         assert sorted(served) == sorted(mined)
+
+    def test_serve_has_no_backend_flag(self, planted_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", planted_csv, "-m", "3", "-k", "10",
+                  "--eps", "10.0", "--backend", "lsmt"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_query_time_range(self, index_dir, capsys):
         assert main(["query", index_dir, "--time", "0:1000"]) == 0

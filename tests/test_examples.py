@@ -36,7 +36,6 @@ def test_quickstart_finds_planted_convoys():
     assert "convoys found" in result.stdout
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "script", ["traffic_jam_monitor.py", "baseline_comparison.py"]
 )

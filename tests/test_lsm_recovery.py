@@ -140,6 +140,23 @@ class TestLsmKillAndRestart:
             assert reopened.get(_key(i)) == expected
         reopened.close()
 
+    def test_put_after_torn_tail_survives_a_second_kill(self, tmp_path):
+        """Reopening cuts the torn tail, so later puts stay replayable."""
+        directory = tmp_path / "lsm"
+        tree = self._tree(directory)
+        tree.put(_key(0), _value(0))
+        with FAULTS.armed("lsm.wal.append", partial=5):
+            with pytest.raises(InjectedCrash):
+                tree.put(_key(1), _value(1))
+        reopened = self._tree(directory)
+        reopened.put(_key(2), _value(2))
+        del reopened  # second kill: no flush, no close
+        again = self._tree(directory)
+        assert again.get(_key(0)) == _value(0)
+        assert again.get(_key(1)) is None  # never acknowledged
+        assert again.get(_key(2)) == _value(2)
+        again.close()
+
 
 class TestFaultInjector:
     def test_nth_hit_countdown(self):

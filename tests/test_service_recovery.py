@@ -283,6 +283,51 @@ class TestServiceRecovery:
         assert _convoy_set(recovered.index.convoys()) == _baseline()
         index.close()
 
+    def test_torn_wal_then_two_recoveries_match_uninterrupted_run(
+        self, tmp_path
+    ):
+        """Recover from a torn WAL append, feed on, die again, recover.
+
+        Recovery does not checkpoint, so the second restart replays the
+        WAL that still starts with the first crash's records.  Batches
+        acknowledged between the two crashes must replay too.
+        """
+        directory = str(tmp_path / "svc")
+        service, _ = _durable_service(directory)
+        ticks = _ticks()
+        for t, oids, xs, ys in ticks[:3]:
+            service.observe(t, oids, xs, ys, seq=t)
+        FAULTS.arm("service.wal.append", partial=5)
+        t, oids, xs, ys = ticks[3]
+        with pytest.raises(InjectedCrash):
+            service.observe(t, oids, xs, ys, seq=t)  # torn, never acked
+        FAULTS.disarm()
+
+        index, _ = catalog.open_index(directory)
+        first = ConvoyIngestService.recover(
+            Q, ServiceJournal(directory, checkpoint_every=100), index=index
+        )
+        assert first.applied_seq == {"": 3}
+        for t, oids, xs, ys in ticks[3:6]:
+            first.observe(t, oids, xs, ys, seq=t)
+        # Second kill before any checkpoint: walk away from `first`.
+
+        index, _ = catalog.open_index(directory)
+        second = ConvoyIngestService.recover(
+            Q, ServiceJournal(directory, checkpoint_every=100), index=index
+        )
+        uncrashed = ConvoyIngestService(Q)
+        for t, oids, xs, ys in ticks[:6]:
+            uncrashed.observe(t, oids, xs, ys, seq=t)
+        assert second.applied_seq == uncrashed.applied_seq == {"": 6}
+        assert second.stats.ticks == 6
+        for t, oids, xs, ys in ticks[6:]:
+            second.observe(t, oids, xs, ys, seq=t)
+        second.finish()
+        assert _convoy_set(second.closed_convoys) == _baseline()
+        assert _convoy_set(second.index.convoys()) == _baseline()
+        index.close()
+
     def test_recover_refuses_mismatched_shard_topology(self, tmp_path):
         from repro.service.sharding import GridSharder
 
@@ -396,8 +441,10 @@ class TestRetentionCrashRecovery:
 
         The fourth append emits only 5 of its bytes before the injected
         kill, leaving a torn frame on disk.  Replay must stop at the
-        last intact record — never yield a half-frame — and the recovery
-        flow (checkpoint, then truncate) starts the log clean again.
+        last intact record — never yield a half-frame — and reopening
+        the log cuts the torn bytes, so appends made after the restart
+        replay too.  Recovery does not checkpoint, so nothing else
+        would clear the torn frame before the next crash.
         """
         path = str(tmp_path / "feed.wal")
         wal = FeedWAL(path)
@@ -412,8 +459,15 @@ class TestRetentionCrashRecovery:
         # dropped, not decoded.
         assert [r.seq for r in FeedWAL.replay(path)] == [1, 2, 3]
 
-        # Recovery checkpoints the replayed state and truncates; the log
-        # then accepts appends with no memory of the torn frame.
+        # Reopen without truncate(): the appends land after the intact
+        # records, not behind the torn frame.
+        reopened = FeedWAL(path)
+        for seq in (4, 5, 6):
+            reopened.append_snapshot("s", seq, seq, oids, xy, xy)
+        reopened.close()
+        assert [r.seq for r in FeedWAL.replay(path)] == [1, 2, 3, 4, 5, 6]
+
+        # A checkpoint's truncate() starts the log clean again.
         reopened = FeedWAL(path)
         reopened.truncate()
         for seq in (100, 101, 102):
