@@ -23,12 +23,12 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import METRICS
 from .pager import PAGE_SIZE, BufferPool, Pager
 from .interface import IOStats
-from .record import KEY_SIZE, VALUE_SIZE
+from .record import KEY_SIZE, VALUE_SIZE, find_record, lookup_record
 
 _META = struct.Struct(">4sqHq")
 _MAGIC = b"BPT1"
@@ -42,6 +42,19 @@ INTERNAL_CAPACITY = (PAGE_SIZE - _HEADER_SIZE - 8) // _INTERNAL_ENTRY
 _LEAF, _INTERNAL = 0, 1
 
 
+def _count(page) -> int:
+    return int.from_bytes(page[1:3], "big")
+
+
+def _next_leaf(page) -> int:
+    return int.from_bytes(page[3:11], "big", signed=True)
+
+
+def _leaf_offsets(page) -> range:
+    """Offsets of a leaf's records, in key order."""
+    return range(_HEADER_SIZE, _HEADER_SIZE + _count(page) * _LEAF_ENTRY, _LEAF_ENTRY)
+
+
 class BPlusTree:
     """A persistent B+tree over fixed-size byte keys/values."""
 
@@ -53,11 +66,13 @@ class BPlusTree:
         METRICS.register_iostats("bptree", self.stats)
         self._pager = Pager(path, self.stats)
         self._pool = BufferPool(self._pager, pool_pages)
-        # Decoded-node cache: parsing a 4 KiB page into Python tuples costs
-        # far more than the buffer-pool hit itself, so hot nodes are kept
-        # decoded.  Entries are dropped on any write to the page.
-        self._node_cache: "OrderedDict[int, tuple]" = OrderedDict()
-        self._node_cache_limit = max(64, pool_pages)
+        # Decoded internal nodes: every descent binary-searches them, and
+        # they are few (under 1% of pages), so they stay decoded.  Leaves
+        # are searched in their pool pages.  Entries drop on a node write.
+        self._internal_cache: "OrderedDict[int, Tuple[List[bytes], List[int]]]" = (
+            OrderedDict()
+        )
+        self._internal_cache_limit = max(64, pool_pages)
         if self._pager.num_pages == 0:
             meta = self._pool.allocate()  # page 0
             root = self._pool.allocate()  # page 1: empty leaf
@@ -82,27 +97,43 @@ class BPlusTree:
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Point lookup; returns the value or ``None``."""
-        self.stats.point_queries += 1
-        leaf_no = self._descend(key)
-        keys, values, _ = self._read_leaf(leaf_no)
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            return values[i]
-        return None
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        """Point lookups for ascending ``keys``: the value or ``None`` each.
+
+        Keys below the fence of the leaf in hand share its descent and page
+        fetch.  The leaf is binary-searched in its page bytes, and only a
+        hit's value is copied out.
+        """
+        self.stats.point_queries += len(keys)
+        found: List[Optional[bytes]] = []
+        fence: Optional[bytes] = b""  # below every key: the first one descends
+        for key in keys:
+            if fence is not None and key >= fence:
+                leaf_no, fence = self._descend(key)
+                data = self._leaf_page(leaf_no)
+                offsets = _leaf_offsets(data)
+                pos = 0
+            pos, value = lookup_record(data, offsets, key, pos)
+            found.append(value)
+        return found
 
     def range(self, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Yield ``(key, value)`` with ``lo <= key <= hi``, ascending."""
         self.stats.range_scans += 1
-        leaf_no = self._descend(lo)
+        leaf_no, _ = self._descend(lo)
         while leaf_no != -1:
-            keys, values, next_leaf = self._read_leaf(leaf_no)
-            start = bisect_left(keys, lo)
-            for i in range(start, len(keys)):
-                if keys[i] > hi:
+            # A private copy: the caller may write to the tree between yields.
+            data = bytes(self._leaf_page(leaf_no))
+            offsets = _leaf_offsets(data)
+            for off in offsets[find_record(data, offsets, lo):]:
+                key = data[off : off + KEY_SIZE]
+                if key > hi:
                     return
-                yield keys[i], values[i]
+                yield key, data[off + KEY_SIZE : off + _LEAF_ENTRY]
             lo = b""  # subsequent leaves are scanned from their start
-            leaf_no = next_leaf
+            leaf_no = _next_leaf(data)
 
     def insert(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite one entry."""
@@ -132,7 +163,7 @@ class BPlusTree:
         + occasional point maintenance) that is the standard trade-off; a
         rebuild via :meth:`bulk_load` restores full occupancy.
         """
-        leaf_no = self._descend(key)
+        leaf_no, _ = self._descend(key)
         keys, values, next_leaf = self._read_leaf(leaf_no)
         i = bisect_left(keys, key)
         if i >= len(keys) or keys[i] != key:
@@ -222,16 +253,18 @@ class BPlusTree:
         """Smallest key in the tree (or ``None`` when empty)."""
         node = self._root
         for _ in range(self._height - 1):
-            node = self._children(node)[0]
-        keys, _, _ = self._read_leaf(node)
-        return keys[0] if keys else None
+            node = self._read_internal(node)[1][0]
+        data = self._leaf_page(node)
+        offsets = _leaf_offsets(data)
+        return bytes(data[offsets[0] : offsets[0] + KEY_SIZE]) if offsets else None
 
     def last_key(self) -> Optional[bytes]:
         node = self._root
         for _ in range(self._height - 1):
-            node = self._children(node)[-1]
-        keys, _, _ = self._read_leaf(node)
-        return keys[-1] if keys else None
+            node = self._read_internal(node)[1][-1]
+        data = self._leaf_page(node)
+        offsets = _leaf_offsets(data)
+        return bytes(data[offsets[-1] : offsets[-1] + KEY_SIZE]) if offsets else None
 
     def flush(self) -> None:
         self._pool.flush()
@@ -256,43 +289,30 @@ class BPlusTree:
         data[3:11] = next_leaf.to_bytes(8, "big", signed=True)
         self._pool.mark_dirty(page_no)
 
-    def _cache_node(self, page_no: int, decoded: tuple) -> tuple:
-        self._node_cache[page_no] = decoded
-        self._node_cache.move_to_end(page_no)
-        while len(self._node_cache) > self._node_cache_limit:
-            self._node_cache.popitem(last=False)
-        return decoded
-
-    def _invalidate_node(self, page_no: int) -> None:
-        self._node_cache.pop(page_no, None)
-
-    def _read_leaf(self, page_no: int):
-        cached = self._node_cache.get(page_no)
-        if cached is not None and cached[0] == _LEAF:
-            return cached[1]
+    def _leaf_page(self, page_no: int) -> bytearray:
         data = self._pool.get(page_no)
         if data[0] != _LEAF:
             raise ValueError(f"page {page_no} is not a leaf")
-        count = int.from_bytes(data[1:3], "big")
-        next_leaf = int.from_bytes(data[3:11], "big", signed=True)
-        keys, values = [], []
-        off = _HEADER_SIZE
-        for _ in range(count):
-            keys.append(bytes(data[off : off + KEY_SIZE]))
-            values.append(bytes(data[off + KEY_SIZE : off + _LEAF_ENTRY]))
-            off += _LEAF_ENTRY
-        decoded = (keys, values, next_leaf)
-        self._cache_node(page_no, (_LEAF, decoded))
-        return decoded
+        return data
 
-    def _read_internal(self, page_no: int):
-        cached = self._node_cache.get(page_no)
-        if cached is not None and cached[0] == _INTERNAL:
-            return cached[1]
+    def _read_leaf(self, page_no: int):
+        """Decode a leaf into ``(keys, values, next_leaf)`` for rewriting."""
+        data = self._leaf_page(page_no)
+        offsets = _leaf_offsets(data)
+        keys = [bytes(data[off : off + KEY_SIZE]) for off in offsets]
+        values = [bytes(data[off + KEY_SIZE : off + _LEAF_ENTRY]) for off in offsets]
+        return keys, values, _next_leaf(data)
+
+    def _read_internal(self, page_no: int) -> Tuple[List[bytes], List[int]]:
+        """Decoded ``(keys, children)`` of an internal node, from the cache."""
+        cached = self._internal_cache.get(page_no)
+        if cached is not None:
+            self._internal_cache.move_to_end(page_no)
+            return cached
         data = self._pool.get(page_no)
         if data[0] != _INTERNAL:
             raise ValueError(f"page {page_no} is not internal")
-        count = int.from_bytes(data[1:3], "big")
+        count = _count(data)
         off = _HEADER_SIZE
         children = [int.from_bytes(data[off : off + 8], "big")]
         off += 8
@@ -303,21 +323,27 @@ class BPlusTree:
                 int.from_bytes(data[off + KEY_SIZE : off + _INTERNAL_ENTRY], "big")
             )
             off += _INTERNAL_ENTRY
-        decoded = (keys, children)
-        self._cache_node(page_no, (_INTERNAL, decoded))
-        return decoded
+        self._internal_cache[page_no] = (keys, children)
+        while len(self._internal_cache) > self._internal_cache_limit:
+            self._internal_cache.popitem(last=False)
+        return keys, children
 
-    def _children(self, page_no: int) -> List[int]:
-        _, children = self._read_internal(page_no)
-        return children
+    def _descend(self, key: bytes) -> Tuple[int, Optional[bytes]]:
+        """The leaf that would contain ``key``, and that leaf's fence.
 
-    def _descend(self, key: bytes) -> int:
-        """Page number of the leaf that would contain ``key``."""
+        The fence is the smallest separator above ``key`` on the path
+        (``None`` for the rightmost leaf): every key from ``key`` up to,
+        but excluding, the fence belongs in the same leaf.
+        """
         node = self._root
+        fence: Optional[bytes] = None
         for _ in range(self._height - 1):
             keys, children = self._read_internal(node)
-            node = children[bisect_right(keys, key)]
-        return node
+            idx = bisect_right(keys, key)
+            if idx < len(keys):  # a deeper separator is the tighter one
+                fence = keys[idx]
+            node = children[idx]
+        return node, fence
 
     # -- insertion ---------------------------------------------------------
 
@@ -366,7 +392,6 @@ class BPlusTree:
         return keys[mid], right_page
 
     def _write_leaf(self, page_no, keys, values, next_leaf) -> None:
-        self._invalidate_node(page_no)
         data = self._pool.get(page_no)
         data[:] = bytes(PAGE_SIZE)
         data[0] = _LEAF
@@ -380,7 +405,7 @@ class BPlusTree:
         self._pool.mark_dirty(page_no)
 
     def _write_internal(self, page_no, keys, children) -> None:
-        self._invalidate_node(page_no)
+        self._internal_cache.pop(page_no, None)
         data = self._pool.get(page_no)
         data[:] = bytes(PAGE_SIZE)
         data[0] = _INTERNAL

@@ -12,21 +12,25 @@ class MemTable:
     def __init__(self):
         self._keys: List[bytes] = []
         self._values: List[bytes] = []
+        self._byte_size = 0
 
     def __len__(self) -> int:
         return len(self._keys)
 
     @property
     def byte_size(self) -> int:
-        return sum(len(k) + len(v) for k, v in zip(self._keys, self._values))
+        """Total key and value bytes held, kept as a running sum."""
+        return self._byte_size
 
     def put(self, key: bytes, value: bytes) -> None:
         i = bisect_left(self._keys, key)
         if i < len(self._keys) and self._keys[i] == key:
+            self._byte_size += len(value) - len(self._values[i])
             self._values[i] = value
         else:
             self._keys.insert(i, key)
             self._values.insert(i, value)
+            self._byte_size += len(key) + len(value)
 
     def get(self, key: bytes) -> Optional[bytes]:
         i = bisect_left(self._keys, key)
@@ -46,3 +50,4 @@ class MemTable:
     def clear(self) -> None:
         self._keys.clear()
         self._values.clear()
+        self._byte_size = 0

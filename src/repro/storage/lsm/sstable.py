@@ -17,11 +17,11 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 import struct
-from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..interface import IOStats
-from ..record import KEY_SIZE, RECORD_SIZE
+from ..record import KEY_SIZE, RECORD_SIZE, VALUE_SIZE, find_record, lookup_record
 from .bloom import BloomFilter
 
 _FOOTER = struct.Struct(">QQQQ4s")  # bloom_off, index_off, n_records, n_blocks, magic
@@ -107,12 +107,10 @@ class SSTable:
             (offset,) = struct.unpack(">Q", self._file.read(8))
             self._index_offsets.append(offset)
         self._data_end = bloom_off
-        # Decoded-block cache: SSTables are immutable, so cached blocks can
+        # Raw-block cache: SSTables are immutable, so cached blocks can
         # never go stale.  Point-heavy phases (HWMT, validation) hit the
-        # same hot blocks repeatedly.
-        self._block_cache: "OrderedDict[int, List[Tuple[bytes, bytes]]]" = (
-            OrderedDict()
-        )
+        # same hot blocks repeatedly, and search them in place.
+        self._block_cache: "OrderedDict[int, bytes]" = OrderedDict()
         self._block_cache_limit = 128
 
     # -- reads ---------------------------------------------------------------
@@ -125,22 +123,38 @@ class SSTable:
     def max_key(self) -> Optional[bytes]:
         if not self._index_keys:
             return None
-        records = self._read_block(len(self._index_keys) - 1)
-        return records[-1][0]
+        data = self._read_block(len(self._index_keys) - 1)
+        return data[-RECORD_SIZE:-VALUE_SIZE]
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Point lookup (bloom-checked)."""
-        if not self._index_keys or key not in self.bloom:
-            return None
-        block_no = bisect_right(self._index_keys, key) - 1
-        if block_no < 0:
-            return None
-        records = self._read_block(block_no)
-        keys = [k for k, _ in records]
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            return records[i][1]
-        return None
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        """Point lookups for ascending ``keys``: the value or ``None`` each.
+
+        The bloom filter is consulted before a block is read for a key, but
+        not for keys landing in the block already in hand, which is
+        binary-searched in place; only a hit's value is sliced out.
+        """
+        found: List[Optional[bytes]] = []
+        block_no = -1
+        for key in keys:
+            at = bisect_right(self._index_keys, key, max(block_no, 0)) - 1
+            if at < 0:  # below the first key
+                found.append(None)
+                continue
+            if at != block_no:
+                if key not in self.bloom:
+                    found.append(None)
+                    continue
+                block_no = at
+                data = self._read_block(block_no)
+                offsets = range(0, len(data), RECORD_SIZE)
+                pos = 0
+            pos, value = lookup_record(data, offsets, key, pos)
+            found.append(value)
+        return found
 
     def range(self, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Yield entries with ``lo <= key <= hi`` in key order."""
@@ -148,19 +162,23 @@ class SSTable:
             return
         block_no = max(0, bisect_right(self._index_keys, lo) - 1)
         while block_no < len(self._index_keys):
-            for key, value in self._read_block(block_no):
-                if key < lo:
-                    continue
+            data = self._read_block(block_no)
+            offsets = range(0, len(data), RECORD_SIZE)
+            for off in offsets[find_record(data, offsets, lo):]:
+                key = data[off : off + KEY_SIZE]
                 if key > hi:
                     return
-                yield key, value
+                yield key, data[off + KEY_SIZE : off + RECORD_SIZE]
             block_no += 1
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         for block_no in range(len(self._index_keys)):
-            yield from self._read_block(block_no)
+            data = self._read_block(block_no)
+            for off in range(0, len(data), RECORD_SIZE):
+                yield (data[off : off + KEY_SIZE],
+                       data[off + KEY_SIZE : off + RECORD_SIZE])
 
-    def _read_block(self, block_no: int) -> List[Tuple[bytes, bytes]]:
+    def _read_block(self, block_no: int) -> bytes:
         cached = self._block_cache.get(block_no)
         if cached is not None:
             self._block_cache.move_to_end(block_no)
@@ -175,18 +193,10 @@ class SSTable:
         data = self._file.read(end - start)
         self.stats.seeks += 1
         self.stats.bytes_read += len(data)
-        records = []
-        for offset in range(0, len(data), RECORD_SIZE):
-            records.append(
-                (
-                    data[offset : offset + KEY_SIZE],
-                    data[offset + KEY_SIZE : offset + RECORD_SIZE],
-                )
-            )
-        self._block_cache[block_no] = records
+        self._block_cache[block_no] = data
         while len(self._block_cache) > self._block_cache_limit:
             self._block_cache.popitem(last=False)
-        return records
+        return data
 
     def close(self) -> None:
         self._file.close()

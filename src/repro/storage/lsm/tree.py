@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import os
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ...obs import METRICS
 from ...testing.faults import FAULTS
 from ..interface import IOStats
 from ..record import TOMBSTONE
-from .compaction import compact
+from .compaction import merge_runs
 from .memtable import MemTable
 from .sstable import SSTable, write_sstable
 from .wal import WriteAheadLog
@@ -160,9 +161,6 @@ class LSMTree:
         # A full merge sees every run, so tombstones have shadowed all the
         # data they can shadow and are dropped for good — and retention's
         # drop predicate may discard aged rows outright.
-        from .compaction import merge_runs
-        from .sstable import write_sstable
-
         written_before = self.stats.bytes_written
         merged = write_sstable(
             path,
@@ -188,21 +186,30 @@ class LSMTree:
     # -- reads ---------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self.stats.point_queries += 1
-        value = self._memtable.get(key)
-        if value is not None:
-            return None if value == TOMBSTONE else value
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        """Point lookups for ascending ``keys``: the value or ``None`` each.
+
+        The memtable answers first, then the runs newest to oldest; only
+        keys still unanswered go on to an older run, and a tombstone
+        answers "absent".
+        """
+        self.stats.point_queries += len(keys)
+        found = [self._memtable.get(key) for key in keys]
+        missing = [i for i, value in enumerate(found) if value is None]
         for run in self._runs:  # newest first
-            value = run.get(key)
-            if value is not None:
-                return None if value == TOMBSTONE else value
-        return None
+            if not missing:
+                break
+            values = run.get_many([keys[i] for i in missing])
+            for i, value in zip(missing, values):
+                found[i] = value
+            missing = [i for i in missing if found[i] is None]
+        return [None if value == TOMBSTONE else value for value in found]
 
     def range(self, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Merged ascending scan across the memtable and all runs."""
         self.stats.range_scans += 1
-        import heapq
-
         sources = [self._memtable.range(lo, hi)] + [
             run.range(lo, hi) for run in self._runs
         ]

@@ -2,26 +2,22 @@
 
 Composite key ``(t, oid)``, value ``(x, y)``.  Benchmark-point data is one
 range scan from ``(t, 0)`` to ``(t, max_oid)`` — co-located in the sorted
-runs, so it costs a single seek per run — and HWMT access is a point get
-per ``(t, oid)`` pair, bloom-filtered per run.
+runs, so it costs a single seek per run — and a tick's keyed access is one
+batched lookup over its ``(t, oid)`` keys, bloom-filtered per block read.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from ..data.dataset import Dataset
 from .interface import IOStats
+from .keyed import KeyedTrajectoryStore
 from .lsm.tree import LSMTree
-from .record import decode_key, decode_value, encode_key, encode_value, time_range_keys
-
-Snapshot = Tuple[np.ndarray, np.ndarray, np.ndarray]
+from .record import decode_key, encode_key, encode_value
 
 
-class LSMTStore:
+class LSMTStore(KeyedTrajectoryStore):
     """Trajectory store over :class:`repro.storage.lsm.tree.LSMTree`."""
 
     def __init__(self, directory: str, **lsm_options):
@@ -75,56 +71,5 @@ class LSMTStore:
     def end_time(self) -> int:
         return self._scan_bounds()[2]
 
-    def snapshot(self, t: int) -> Snapshot:
-        lo, hi = time_range_keys(t)
-        oids: List[int] = []
-        xs: List[float] = []
-        ys: List[float] = []
-        for key, value in self._tree.range(lo, hi):
-            _, oid = decode_key(key)
-            x, y = decode_value(value)
-            oids.append(oid)
-            xs.append(x)
-            ys.append(y)
-        return (
-            np.asarray(oids, dtype=np.int64),
-            np.asarray(xs, dtype=np.float64),
-            np.asarray(ys, dtype=np.float64),
-        )
-
-    def points_for(self, t: int, oids: Sequence[int]) -> Snapshot:
-        return self._points_for_sorted(t, sorted(set(int(o) for o in oids)))
-
-    def points_for_many(self, ts: Sequence[int], oids: Sequence[int]):
-        """Batched keyed access over a hop window (one call per candidate)."""
-        wanted = sorted(set(int(o) for o in oids))
-        return {int(t): self._points_for_sorted(int(t), wanted) for t in ts}
-
-    def _points_for_sorted(self, t: int, wanted: Sequence[int]) -> Snapshot:
-        found: List[int] = []
-        xs: List[float] = []
-        ys: List[float] = []
-        for oid in wanted:
-            value = self._tree.get(encode_key(t, oid))
-            if value is not None:
-                x, y = decode_value(value)
-                found.append(oid)
-                xs.append(x)
-                ys.append(y)
-        return (
-            np.asarray(found, dtype=np.int64),
-            np.asarray(xs, dtype=np.float64),
-            np.asarray(ys, dtype=np.float64),
-        )
-
     def flush(self) -> None:
         self._tree.flush()
-
-    def close(self) -> None:
-        self._tree.close()
-
-    def __enter__(self) -> "LSMTStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -10,7 +10,8 @@ generator here guarantees).
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from bisect import bisect_left
+from typing import Optional, Tuple
 
 KEY_SIZE = 16
 VALUE_SIZE = 16
@@ -51,3 +52,26 @@ def decode_value(data: bytes) -> Tuple[float, float]:
 def time_range_keys(t: int) -> Tuple[bytes, bytes]:
     """Key range covering every object at timestamp ``t``."""
     return _KEY.pack(t, 0), _KEY.pack(t, 2**62)
+
+
+def find_record(buf, offsets: range, key: bytes, lo: int = 0) -> int:
+    """Index into ``offsets`` of the first record in ``buf`` keyed ``>= key``.
+
+    ``buf`` (bytes or a page bytearray) holds key-sorted records whose
+    16-byte keys start at ``offsets``.  The binary search slices only the
+    keys it compares, so a B+tree leaf or SSTable block is searched in
+    place without decoding its records.
+    """
+    return bisect_left(offsets, key, lo, key=lambda off: buf[off : off + KEY_SIZE])
+
+
+def lookup_record(
+    buf, offsets: range, key: bytes, lo: int = 0
+) -> Tuple[int, Optional[bytes]]:
+    """:func:`find_record`, plus a copy of ``key``'s value when present."""
+    pos = find_record(buf, offsets, key, lo)
+    if pos < len(offsets):
+        off = offsets[pos]
+        if buf[off : off + KEY_SIZE] == key:
+            return pos, bytes(buf[off + KEY_SIZE : off + RECORD_SIZE])
+    return pos, None

@@ -11,20 +11,16 @@ scans; HWMT point accesses are keyed lookups — exactly the two access paths
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..data.dataset import Dataset
 from ..obs import METRICS
 from .bptree import BPlusTree
 from .interface import IOStats
-from .record import decode_key, decode_value, encode_key, encode_value, time_range_keys
+from .keyed import KeyedTrajectoryStore
+from .record import decode_key, encode_key, encode_value
 
-Snapshot = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-
-class RelationalStore:
+class RelationalStore(KeyedTrajectoryStore):
     """Trajectory table with a clustered B+tree index on ``(t, oid)``."""
 
     def __init__(self, path: str, pool_pages: int = 256):
@@ -74,58 +70,3 @@ class RelationalStore:
         if last is None:
             raise ValueError("empty store")
         return decode_key(last)[0]
-
-    def snapshot(self, t: int) -> Snapshot:
-        lo, hi = time_range_keys(t)
-        oids: List[int] = []
-        xs: List[float] = []
-        ys: List[float] = []
-        for key, value in self._tree.range(lo, hi):
-            _, oid = decode_key(key)
-            x, y = decode_value(value)
-            oids.append(oid)
-            xs.append(x)
-            ys.append(y)
-        return (
-            np.asarray(oids, dtype=np.int64),
-            np.asarray(xs, dtype=np.float64),
-            np.asarray(ys, dtype=np.float64),
-        )
-
-    def points_for(self, t: int, oids: Sequence[int]) -> Snapshot:
-        return self._points_for_sorted(t, sorted(set(int(o) for o in oids)))
-
-    def points_for_many(self, ts: Sequence[int], oids: Sequence[int]):
-        """Batched keyed access: sort/dedupe the object set once per window.
-
-        Keys are visited in ``(t, oid)`` order, so consecutive lookups land
-        on the same few leaves and hit the decoded-node cache.
-        """
-        wanted = sorted(set(int(o) for o in oids))
-        return {int(t): self._points_for_sorted(int(t), wanted) for t in ts}
-
-    def _points_for_sorted(self, t: int, wanted: Sequence[int]) -> Snapshot:
-        found_oids: List[int] = []
-        xs: List[float] = []
-        ys: List[float] = []
-        for oid in wanted:
-            value = self._tree.get(encode_key(t, oid))
-            if value is not None:
-                x, y = decode_value(value)
-                found_oids.append(oid)
-                xs.append(x)
-                ys.append(y)
-        return (
-            np.asarray(found_oids, dtype=np.int64),
-            np.asarray(xs, dtype=np.float64),
-            np.asarray(ys, dtype=np.float64),
-        )
-
-    def close(self) -> None:
-        self._tree.close()
-
-    def __enter__(self) -> "RelationalStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -88,6 +88,18 @@ class TestScale:
         assert keys == [_key(i) for i in range(n)]
         loaded.close()
 
+    def test_get_many_on_a_three_level_tree(self, tmp_path):
+        n = 13_000  # more leaves than one internal node holds
+        tree = BPlusTree(str(tmp_path / "deep.db"))
+        tree.bulk_load((_key(i), _value(i)) for i in range(0, 2 * n, 2))
+        assert tree._height == 3
+        probes = [_key(i) for i in range(2 * n + 3)]
+        expected = [_value(i) if i % 2 == 0 and i < 2 * n else None
+                    for i in range(2 * n + 3)]
+        assert tree.get_many(probes) == expected
+        assert tree.get_many(probes[::97]) == expected[::97]
+        tree.close()
+
     def test_bulk_load_rejects_unsorted(self, tree):
         with pytest.raises(ValueError):
             tree.bulk_load([(_key(2), _value(2)), (_key(1), _value(1))])
@@ -135,21 +147,34 @@ class TestPersistence:
 class TestModelBased:
     @given(
         st.lists(
-            st.tuples(st.integers(0, 400), st.integers(0, 10_000)),
-            max_size=120,
+            st.tuples(
+                st.sampled_from(["insert", "delete"]),
+                st.integers(0, 400),  # first key of the op's run
+                st.integers(1, 80),  # run length: long runs split leaves
+                st.integers(0, 10_000),
+            ),
+            max_size=40,
         )
     )
     @settings(max_examples=25, deadline=None)
     def test_behaves_like_a_dict(self, tmp_path_factory, operations):
         """Model-based: the tree must agree with a plain dict under inserts
-        (including overwrites) for gets and full scans."""
+        (including overwrites) and deletes, for gets, batched gets over
+        present and absent keys, and full scans, after every step."""
         directory = tmp_path_factory.mktemp("model")
         tree = BPlusTree(str(directory / "model.db"))
         model = {}
         try:
-            for i, value_seed in operations:
-                tree.insert(_key(i), _value(value_seed))
-                model[_key(i)] = _value(value_seed)
+            for kind, first, length, value_seed in operations:
+                for i in range(first, first + length):
+                    if kind == "insert":
+                        tree.insert(_key(i), _value(value_seed + i))
+                        model[_key(i)] = _value(value_seed + i)
+                    else:
+                        assert tree.delete(_key(i)) == (model.pop(_key(i), None)
+                                                        is not None)
+                probes = sorted(set(model) | {_key(i) for i in range(0, 500, 7)})
+                assert tree.get_many(probes) == [model.get(k) for k in probes]
             assert len(tree) == len(model)
             for key, value in model.items():
                 assert tree.get(key) == value

@@ -70,6 +70,27 @@ class TestMemTable:
         table.clear()
         assert len(table) == 0
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 30), st.binary(max_size=40)),
+                st.just("clear"),
+            ),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_byte_size_is_the_sum_of_entries(self, operations):
+        """The running byte count survives puts, overwrites with values
+        of another length, and clears."""
+        table = MemTable()
+        for op in operations:
+            if op == "clear":
+                table.clear()
+            else:
+                table.put(_key(op[0]), op[1])
+            assert table.byte_size == sum(len(k) + len(v) for k, v in table.items())
+
 
 class TestWAL:
     def test_replay_returns_writes_in_order(self, tmp_path):
@@ -169,6 +190,29 @@ class TestLSMTree:
             tree.flush()
             assert tree.get(_key(7)) == _value(777)
 
+    def test_get_many_through_layers(self, tmp_path):
+        """A newer layer answers for a key, tombstones included; an older
+        run answers only keys every newer layer lacks."""
+        with LSMTree(str(tmp_path / "lsm"), memtable_limit=10**9) as tree:
+            for i in range(200):  # two blocks in the oldest run
+                tree.put(_key(i), _value(i))
+            tree.flush()
+            tree.delete(_key(3))
+            tree.put(_key(150), _value(1500))
+            tree.flush()
+            tree.put(_key(3), _value(33))
+            tree.delete(_key(199))
+            probes = [_key(i) for i in (0, 3, 127, 128, 150, 199, 250)]
+            assert tree.get_many(probes) == [
+                _value(0), _value(33), _value(127), _value(128), _value(1500),
+                None, None,
+            ]
+            tree.delete(_key(3))
+            assert tree.get_many(probes[:2]) == [_value(0), None]
+            tree.flush()
+            assert tree.get_many(probes[:2]) == [_value(0), None]
+            assert tree.get_many([]) == []
+
     def test_range_merges_layers(self, tmp_path):
         with LSMTree(str(tmp_path / "lsm"), memtable_limit=256) as tree:
             for i in range(0, 100, 2):
@@ -202,6 +246,25 @@ class TestLSMTree:
             for i in range(0, 300, 17):
                 assert tree.get(_key(i)) == _value(i)
 
+    @given(st.lists(st.integers(0, 40), max_size=120))
+    @settings(max_examples=20, deadline=None)
+    def test_flushes_when_the_summed_entries_reach_the_limit(
+        self, tmp_path_factory, puts
+    ):
+        """A put flushes exactly when the memtable's recomputed byte sum
+        reaches the limit, overwrites included."""
+        limit = 300
+        with LSMTree(
+            str(tmp_path_factory.mktemp("lsm-flush") / "lsm"), memtable_limit=limit
+        ) as tree:
+            held = set()
+            for i in puts:
+                tree.put(_key(i), _value(i))
+                held.add(_key(i))
+                if sum(len(k) + len(_value(0)) for k in held) >= limit:
+                    held.clear()  # this put flushed the memtable
+                assert len(tree._memtable) == len(held)
+
     def test_bulk_load(self, tmp_path):
         with LSMTree(str(tmp_path / "lsm")) as tree:
             tree.bulk_load((_key(i), _value(i)) for i in range(500))
@@ -219,18 +282,37 @@ class TestLSMTree:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 150), st.integers(0, 10_000)),
+            st.tuples(
+                st.sampled_from(["put", "put", "delete", "flush"]),
+                st.integers(0, 150),
+                st.integers(0, 10_000),
+            ),
             max_size=100,
         )
     )
     @settings(max_examples=20, deadline=None)
     def test_model_based_vs_dict(self, tmp_path_factory, operations):
+        """After every step, gets, batched gets over present and absent
+        keys, and scans agree with a dict, across memtable shadowing,
+        tombstones, flushes and compactions."""
         directory = tmp_path_factory.mktemp("lsm-model")
         model = {}
-        with LSMTree(str(directory / "lsm"), memtable_limit=512) as tree:
-            for i, value_seed in operations:
-                tree.put(_key(i), _value(value_seed))
-                model[_key(i)] = _value(value_seed)
+        with LSMTree(
+            str(directory / "lsm"), memtable_limit=512, compaction_fanin=3
+        ) as tree:
+            for kind, i, value_seed in operations:
+                if kind == "put":
+                    tree.put(_key(i), _value(value_seed))
+                    model[_key(i)] = _value(value_seed)
+                elif kind == "delete":
+                    # Mostly an existing key, so tombstones shadow values.
+                    key = sorted(model)[i % len(model)] if model else _key(i)
+                    tree.delete(key)
+                    model.pop(key, None)
+                else:
+                    tree.flush()
+                probes = sorted(set(model) | {_key(i) for i in range(0, 170, 4)})
+                assert tree.get_many(probes) == [model.get(k) for k in probes]
             for key, value in model.items():
                 assert tree.get(key) == value
             assert dict(tree.range(_key(0), _key(200))) == model

@@ -1,9 +1,11 @@
 """Store-level integration: every backend serves identical mining results."""
 
+import random
+
 import pytest
 
 from repro.core import ConvoyQuery, K2Hop
-from repro.data import plant_convoys
+from repro.data import Dataset, plant_convoys
 from repro.storage import FlatFileStore, LSMTStore, MemoryStore, RelationalStore
 
 
@@ -134,6 +136,95 @@ class TestLSMTStore:
             K2Hop(query).mine(store)
             assert store.stats.bytes_read > 0
             assert store.stats.seeks > 0
+        finally:
+            store.close()
+
+
+def _updated_store(kind, workload, tmp_path):
+    """A bulk-loaded store with inserts on top, and the dataset it holds.
+
+    Every fifth row is overwritten and every tick gains a new object.  On
+    the LSM store that leaves the rows in a memtable over two runs.
+    """
+    dataset = workload.dataset
+    rows = {
+        (int(t), int(oid)): (float(x), float(y))
+        for oid, t, x, y in zip(dataset.oids, dataset.ts, dataset.xs, dataset.ys)
+    }
+    new_oid = int(dataset.oids.max()) + 1
+    updates = [(t, oid, x + 0.5, -y) for (t, oid), (x, y) in sorted(rows.items())[::5]]
+    updates += [(int(t), new_oid, 1.0, float(t)) for t in dataset.timestamps()]
+    half = len(updates) // 2
+    if kind == "rdbms":
+        store = RelationalStore.create(str(tmp_path / "upd.db"), dataset)
+    else:
+        store = LSMTStore.create(str(tmp_path / "upd"), dataset)
+    for i, (t, oid, x, y) in enumerate(updates):
+        store.insert(oid=oid, t=t, x=x, y=y)
+        rows[(t, oid)] = (x, y)
+        if kind == "lsmt" and i == half:
+            store.flush()
+    if kind == "lsmt":
+        assert len(store._tree._runs) >= 2 and len(store._tree._memtable)
+    merged = Dataset.from_records(
+        [(oid, t, x, y) for (t, oid), (x, y) in rows.items()]
+    )
+    return store, merged
+
+
+def _assert_same_rows(got, expected):
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert g.tolist() == e.tolist()
+
+
+@pytest.mark.parametrize("kind", ["rdbms", "lsmt"])
+class TestKeyedAccess:
+    """Batched per-tick lookups agree with the in-memory dataset."""
+
+    def test_points_for_matches_dataset(self, kind, workload, tmp_path):
+        store, merged = _updated_store(kind, workload, tmp_path)
+        objects = merged.objects().tolist()
+        absent = [max(objects) + 1, max(objects) + 1000]
+        rng = random.Random(11)
+        try:
+            for t in merged.timestamps().tolist():
+                # Whole ticks cross leaf and block boundaries.
+                for wanted in (objects + absent, rng.sample(objects, 5) + absent,
+                               absent, []):
+                    _assert_same_rows(store.points_for(t, wanted),
+                                      merged.points_for(t, wanted))
+            ts = merged.timestamps().tolist()[::3]
+            for wanted in (objects, rng.sample(objects, 7) + absent, []):
+                got = store.points_for_many(ts, wanted)
+                expected = merged.points_for_many(ts, wanted)
+                assert got.keys() == expected.keys()
+                for t in ts:
+                    _assert_same_rows(got[t], expected[t])
+        finally:
+            store.close()
+
+    def test_snapshot_matches_dataset(self, kind, workload, tmp_path):
+        store, merged = _updated_store(kind, workload, tmp_path)
+        try:
+            for t in merged.timestamps().tolist():
+                _assert_same_rows(store.snapshot(t), merged.snapshot(t))
+        finally:
+            store.close()
+
+    def test_point_queries_count_distinct_keys(self, kind, workload, tmp_path):
+        """One ``points_for`` adds one point query per distinct object asked
+        for, present or not."""
+        store, merged = _updated_store(kind, workload, tmp_path)
+        t = int(merged.start_time) + 2
+        wanted = merged.objects().tolist()[:6] * 2 + [10**6, 10**6]
+        try:
+            before = store.stats.point_queries
+            store.points_for(t, wanted)
+            assert store.stats.point_queries - before == len(set(wanted))
+            before = store.stats.point_queries
+            store.points_for(t, [])
+            assert store.stats.point_queries == before
         finally:
             store.close()
 
