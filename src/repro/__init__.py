@@ -33,7 +33,6 @@ from .api import (
 )
 from .core import (
     Convoy,
-    ConvoyEngine,
     ConvoyQuery,
     K2Hop,
     MiningResult,
@@ -53,7 +52,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Convoy",
-    "ConvoyEngine",
     "ConvoyQuery",
     "ConvoyService",
     "ConvoySession",

@@ -2,7 +2,6 @@
 
 from .bench_points import HopWindow, benchmark_points, hop_windows
 from .bitset import ObjectInterner, is_submask, mask_size
-from .engine import ConvoyEngine, advise_store
 from .enginemode import engine_mode, scalar_engine, set_engine_mode, vectorized_engine
 from .k2hop import K2Hop, MiningResult, mine_convoys
 from .params import ConvoyQuery
@@ -22,11 +21,9 @@ from .types import (
 __all__ = [
     "Cluster",
     "Convoy",
-    "ConvoyEngine",
     "ConvoySet",
     "ConvoyQuery",
     "ObjectInterner",
-    "advise_store",
     "HopWindow",
     "K2Hop",
     "MiningResult",

@@ -17,7 +17,7 @@ result set itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, Iterable, List
 
 from repro.obs import METRICS
 
@@ -76,6 +76,14 @@ class K2Hop:
             _CONVOYS.inc(len(result.convoys))
         return result
 
+    def _map(self, fn: Callable, items: Iterable) -> List:
+        """Run one per-window stage (benchmark clustering, HWMT) in order.
+
+        The stages' items are independent until the merge; a subclass may
+        run them concurrently (:mod:`repro.extensions.parallel`).
+        """
+        return list(map(fn, items))
+
     # -- the real pipeline -------------------------------------------------
 
     def _mine_hops(self, source: TrajectorySource, stats: MiningStats) -> MiningResult:
@@ -87,9 +95,9 @@ class K2Hop:
         points = benchmark_points(start, end, query.hop)
         stats.benchmark_point_count = len(points)
         with stats.timed("benchmark_clustering"):
-            benchmark_clusters = [
-                cluster_benchmark_point(source, t, query, stats) for t in points
-            ]
+            benchmark_clusters = self._map(
+                lambda t: cluster_benchmark_point(source, t, query, stats), points
+            )
 
         windows = hop_windows(points)
         with stats.timed("candidate_intersection"):
@@ -102,10 +110,10 @@ class K2Hop:
         stats.candidate_cluster_count = sum(len(cc) for cc in window_candidates)
 
         with stats.timed("hwmt"):
-            spanning = [
-                mine_hop_window(source, window, candidates, query, stats)
-                for window, candidates in zip(windows, window_candidates)
-            ]
+            spanning = self._map(
+                lambda pair: mine_hop_window(source, *pair, query, stats),
+                zip(windows, window_candidates),
+            )
         stats.spanning_convoy_count = sum(len(v) for v in spanning)
 
         with stats.timed("merge"):

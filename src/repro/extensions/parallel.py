@@ -6,29 +6,34 @@ are clustered concurrently, then each hop window's candidate intersection
 + HWMT runs as its own task.  Merging, extension and validation remain
 sequential (they are negligible; see Figure 8i).
 
-A thread pool is used rather than processes: the workloads here are
-numpy-heavy (DBSCAN releases chunks of the GIL inside numpy kernels) and
-the sources (stores) are not generally picklable.  The speedup is
-therefore modest in CPython, but the decomposition is the one a Spark or
-Flink port would use — which is precisely what §7 proposes.
+This is :class:`~repro.core.k2hop.K2Hop` with its per-window stages
+mapped over a thread pool.  A thread pool is used rather than processes:
+the workloads here are numpy-heavy (DBSCAN releases chunks of the GIL
+inside numpy kernels) and the sources (stores) are not generally
+picklable.  The speedup is therefore modest in CPython, but the
+decomposition is the one a Spark or Flink port would use — which is
+precisely what §7 proposes.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import Callable, Iterable, List, Optional
 
-from ..core.bench_points import benchmark_points, hop_windows
-from ..core.candidates import cluster_benchmark_point, intersect_cluster_sets
-from ..core.extend import extend_left, extend_right
-from ..core.hwmt import mine_hop_window
 from ..core.k2hop import K2Hop, MiningResult
-from ..core.merge import merge_spanning_convoys
 from ..core.params import ConvoyQuery
 from ..core.source import TrajectorySource
-from ..core.stats import MiningStats
-from ..core.types import sort_convoys
-from ..core.validate import validate_convoys
+
+
+class _ThreadPoolK2Hop(K2Hop):
+    """K2Hop whose per-window stages run on a pool open for one mine."""
+
+    def __init__(self, query: ConvoyQuery, pool: ThreadPoolExecutor):
+        super().__init__(query)
+        self._pool = pool
+
+    def _map(self, fn: Callable, items: Iterable) -> List:
+        return list(self._pool.map(fn, items))
 
 
 def mine_convoys_parallel(
@@ -41,57 +46,5 @@ def mine_convoys_parallel(
     Produces the exact same convoys as :class:`repro.core.k2hop.K2Hop`
     (asserted by the test suite); only the schedule differs.
     """
-    stats = MiningStats(total_points=source.num_points)
-    if source.num_points == 0:
-        return MiningResult([], stats)
-    if query.k < 2:
-        return K2Hop(query).mine(source)
-    start, end = source.start_time, source.end_time
-    if end - start + 1 < query.k:
-        return MiningResult([], stats)
-
-    points = benchmark_points(start, end, query.hop)
-    stats.benchmark_point_count = len(points)
-    windows = hop_windows(points)
-
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        with stats.timed("benchmark_clustering"):
-            benchmark_clusters = list(
-                pool.map(
-                    lambda t: cluster_benchmark_point(source, t, query, stats),
-                    points,
-                )
-            )
-
-        with stats.timed("candidate_intersection"):
-            window_candidates = [
-                intersect_cluster_sets(
-                    benchmark_clusters[i], benchmark_clusters[i + 1], query.m
-                )
-                for i in range(len(windows))
-            ]
-        stats.candidate_cluster_count = sum(len(c) for c in window_candidates)
-
-        with stats.timed("hwmt"):
-            spanning = list(
-                pool.map(
-                    lambda pair: mine_hop_window(
-                        source, pair[0], pair[1], query, stats
-                    ),
-                    zip(windows, window_candidates),
-                )
-            )
-    stats.spanning_convoy_count = sum(len(v) for v in spanning)
-
-    with stats.timed("merge"):
-        merged = merge_spanning_convoys(spanning, query.m)
-    stats.merged_convoy_count = len(merged)
-    with stats.timed("extend_right"):
-        right_closed = extend_right(source, merged, query, stats)
-    with stats.timed("extend_left"):
-        extended = extend_left(source, right_closed, query, stats)
-    stats.pre_validation_convoy_count = len(extended)
-    with stats.timed("validation"):
-        convoys = validate_convoys(source, extended, query, stats)
-    stats.convoy_count = len(convoys)
-    return MiningResult(sort_convoys(convoys), stats)
+        return _ThreadPoolK2Hop(query, pool).mine(source)

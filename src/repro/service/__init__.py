@@ -9,8 +9,6 @@ convoys as they close, and query them at interactive latency.
 
 from .backends import (
     BACKENDS,
-    BPlusTreeBackend,
-    LSMResultBackend,
     MemoryResultBackend,
     ResultBackend,
     open_backend,
@@ -25,7 +23,6 @@ from .sharding import GridSharder, ShardView
 __all__ = [
     "BACKENDS",
     "BBox",
-    "BPlusTreeBackend",
     "CacheStats",
     "ConvoyIndex",
     "ConvoyIngestService",
@@ -33,7 +30,6 @@ __all__ = [
     "GridSharder",
     "IndexedConvoy",
     "IngestStats",
-    "LSMResultBackend",
     "MemoryResultBackend",
     "ResultBackend",
     "ShardView",

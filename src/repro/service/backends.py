@@ -3,7 +3,8 @@
 One protocol, three substrates, mirroring the paper's §5 storage study:
 in-memory (no durability, fastest), the B+tree ("relational"), and the
 LSM tree.  All move the 16-byte keys/values of
-:mod:`repro.service.records`.
+:mod:`repro.service.records`.  :class:`BPlusTree` and :class:`LSMTree`
+meet the protocol themselves, so :func:`open_backend` returns the trees.
 """
 
 from __future__ import annotations
@@ -71,62 +72,6 @@ class MemoryResultBackend:
         pass
 
 
-class BPlusTreeBackend:
-    """Result store over the on-disk B+tree (point-maintainable)."""
-
-    def __init__(self, path: str):
-        self._tree = BPlusTree(path)
-        self.stats = self._tree.stats
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._tree.insert(key, value)
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self._tree.get(key)
-
-    def delete(self, key: bytes) -> None:
-        self._tree.delete(key)
-
-    def range(self, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        return self._tree.range(lo, hi)
-
-    def flush(self) -> None:
-        self._tree.flush()
-
-    def close(self) -> None:
-        self._tree.close()
-
-
-class LSMResultBackend:
-    """Result store over the LSM tree (write-optimised, WAL-durable)."""
-
-    def __init__(self, directory: str, **lsm_options):
-        self._tree = LSMTree(directory, **lsm_options)
-        self.stats = self._tree.stats
-
-    def set_drop_predicate(self, drop) -> None:
-        """Retention hook: compactions discard keys ``drop`` matches."""
-        self._tree.set_drop_predicate(drop)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._tree.put(key, value)
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self._tree.get(key)
-
-    def delete(self, key: bytes) -> None:
-        self._tree.delete(key)
-
-    def range(self, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        return self._tree.range(lo, hi)
-
-    def flush(self) -> None:
-        self._tree.flush()
-
-    def close(self) -> None:
-        self._tree.close()
-
-
 BACKENDS = ("memory", "bptree", "lsmt")
 
 
@@ -138,7 +83,7 @@ def open_backend(kind: str, path: Optional[str] = None) -> ResultBackend:
         raise ValueError(f"backend {kind!r} needs a path")
     if kind == "bptree":
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        return BPlusTreeBackend(path)
+        return BPlusTree(path)
     if kind == "lsmt":
-        return LSMResultBackend(path)
+        return LSMTree(path)
     raise ValueError(f"unknown backend {kind!r}; choose from {BACKENDS}")

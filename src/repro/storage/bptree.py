@@ -135,7 +135,7 @@ class BPlusTree:
             lo = b""  # subsequent leaves are scanned from their start
             leaf_no = _next_leaf(data)
 
-    def insert(self, key: bytes, value: bytes) -> None:
+    def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite one entry."""
         split = self._insert_into(self._root, self._height, key, value)
         if split is not None:

@@ -1,7 +1,7 @@
 """From-scratch log-structured merge tree."""
 
 from .bloom import BloomFilter
-from .compaction import compact, merge_runs
+from .compaction import merge_runs
 from .memtable import MemTable
 from .sstable import SSTable, write_sstable
 from .tree import LSMTree
@@ -13,7 +13,6 @@ __all__ = [
     "MemTable",
     "SSTable",
     "WriteAheadLog",
-    "compact",
     "merge_runs",
     "write_sstable",
 ]

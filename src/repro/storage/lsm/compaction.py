@@ -19,7 +19,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..interface import IOStats
 from ..record import TOMBSTONE
-from .sstable import SSTable, write_sstable
+from .sstable import SSTable
 
 DropPredicate = Callable[[bytes], bool]
 
@@ -56,12 +56,3 @@ def merge_runs(
             continue
         yield key, value
 
-
-def compact(
-    tables: List[SSTable],
-    output_path: str,
-    stats: Optional[IOStats] = None,
-    drop: Optional[DropPredicate] = None,
-) -> SSTable:
-    """Merge all runs (newest first) into one new SSTable."""
-    return write_sstable(output_path, merge_runs(tables, drop, stats), stats)

@@ -49,7 +49,7 @@ class RelationalStore(KeyedTrajectoryStore):
         return store
 
     def insert(self, oid: int, t: int, x: float, y: float) -> None:
-        self._tree.insert(encode_key(t, oid), encode_value(x, y))
+        self._tree.put(encode_key(t, oid), encode_value(x, y))
 
     # -- TrajectorySource ----------------------------------------------------
 

@@ -111,6 +111,10 @@ class TestFluentBuilder:
         with pytest.raises(ValueError, match="unknown algorithm"):
             session.algorithm("nope")
 
+    def test_unknown_source_store_raises_eagerly(self, session):
+        with pytest.raises(ValueError, match="unknown trajectory store"):
+            session.read_from("papyrus")
+
     def test_unknown_extra_param_rejected_at_mine(self, session):
         with pytest.raises(TypeError, match="does not accept"):
             session.params(m=M, k=K, eps=1.0, theta=0.5).algorithm("k2hop").mine()
@@ -148,10 +152,17 @@ class TestBatchMode:
         )
         assert result.convoys == k2hop_convoys
 
-    def test_mine_through_disk_store_matches(self, session, k2hop_convoys):
-        result = session.read_from("lsmt").mine()
+    @pytest.mark.parametrize("store", ["file", "rdbms", "lsmt"])
+    def test_mine_through_disk_store_matches(self, session, k2hop_convoys, store):
+        result = session.read_from(store).mine()
         assert result.convoys == k2hop_convoys
         assert result.source_io is not None  # I/O counters captured
+
+    def test_store_built_at_a_caller_path_stays_on_disk(
+        self, tmp_path, session, k2hop_convoys
+    ):
+        assert session.read_from("rdbms", str(tmp_path)).mine().convoys == k2hop_convoys
+        assert (tmp_path / "data.db").exists()
 
     def test_needs_dataset_guard_for_bare_sources(self, workload):
         store = MemoryStore(workload.dataset)

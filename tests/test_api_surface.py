@@ -7,6 +7,7 @@ loud, deliberate diff — update the snapshot in the same commit that
 changes the surface.
 """
 
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,9 @@ import pytest
 
 import repro
 import repro.api
+from repro.service import ResultBackend, open_backend
+from repro.storage import BPlusTree
+from repro.storage.lsm import LSMTree
 
 SNAPSHOT = pathlib.Path(__file__).resolve().parent / "api_surface.txt"
 
@@ -75,6 +79,33 @@ def test_top_level_mine_convoys_alias_is_gone():
         repro.mine_convoys
     with pytest.raises(AttributeError, match="frobnicate"):
         repro.frobnicate
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro", "ConvoyEngine"),
+        ("repro.core", "ConvoyEngine"),
+        ("repro.core", "advise_store"),
+        ("repro.service", "BPlusTreeBackend"),
+        ("repro.service", "LSMResultBackend"),
+    ],
+)
+def test_second_front_door_and_store_wrappers_are_gone(module, name):
+    """``ConvoySession`` is the one facade, and the result index persists
+    into the B+tree and LSM tree directly, with no forwarding wrappers."""
+    with pytest.raises(AttributeError, match=name):
+        getattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("kind, tree", [("bptree", BPlusTree), ("lsmt", LSMTree)])
+def test_open_backend_returns_the_tree_itself(tmp_path, kind, tree):
+    backend = open_backend(kind, str(tmp_path / kind))
+    try:
+        assert type(backend) is tree
+        assert isinstance(backend, ResultBackend)
+    finally:
+        backend.close()
 
 
 def test_devtools_stay_off_the_public_surface():

@@ -34,13 +34,13 @@ class TestBasics:
         assert list(tree.range(_key(0), _key(100))) == []
 
     def test_insert_get(self, tree):
-        tree.insert(_key(5), _value(5))
+        tree.put(_key(5), _value(5))
         assert tree.get(_key(5)) == _value(5)
         assert len(tree) == 1
 
     def test_overwrite(self, tree):
-        tree.insert(_key(5), _value(5))
-        tree.insert(_key(5), _value(99))
+        tree.put(_key(5), _value(5))
+        tree.put(_key(5), _value(99))
         assert tree.get(_key(5)) == _value(99)
         assert len(tree) == 1
 
@@ -55,7 +55,7 @@ class TestScale:
         order = list(range(n))
         random.Random(3).shuffle(order)
         for i in order:
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         assert len(tree) == n
         for i in random.Random(4).sample(range(n), 200):
             assert tree.get(_key(i)) == _value(i)
@@ -65,7 +65,7 @@ class TestScale:
         order = list(range(n))
         random.Random(5).shuffle(order)
         for i in order:
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         entries = list(tree.range(_key(0), _key(n)))
         assert len(entries) == n
         keys = [k for k, _ in entries]
@@ -73,7 +73,7 @@ class TestScale:
 
     def test_partial_range(self, tree):
         for i in range(500):
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         got = [k for k, _ in tree.range(_key(100), _key(199))]
         assert got == [_key(i) for i in range(100, 200)]
 
@@ -105,7 +105,7 @@ class TestScale:
             tree.bulk_load([(_key(2), _value(2)), (_key(1), _value(1))])
 
     def test_bulk_load_rejects_nonempty(self, tree):
-        tree.insert(_key(0), _value(0))
+        tree.put(_key(0), _value(0))
         with pytest.raises(ValueError):
             tree.bulk_load([(_key(1), _value(1))])
 
@@ -113,7 +113,7 @@ class TestScale:
         tree = BPlusTree(str(tmp_path / "mix.db"))
         tree.bulk_load((_key(i), _value(i)) for i in range(0, 1000, 2))
         for i in range(1, 1000, 2):
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         keys = [k for k, _ in tree.range(_key(0), _key(1000))]
         assert keys == [_key(i) for i in range(1000)]
         tree.close()
@@ -124,7 +124,7 @@ class TestPersistence:
         path = str(tmp_path / "persist.db")
         tree = BPlusTree(path)
         for i in range(300):
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         tree.close()
         reopened = BPlusTree(path)
         assert len(reopened) == 300
@@ -139,7 +139,7 @@ class TestPersistence:
 
     def test_first_last_key(self, tree):
         for i in (5, 2, 9):
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         assert tree.first_key() == _key(2)
         assert tree.last_key() == _key(9)
 
@@ -168,7 +168,7 @@ class TestModelBased:
             for kind, first, length, value_seed in operations:
                 for i in range(first, first + length):
                     if kind == "insert":
-                        tree.insert(_key(i), _value(value_seed + i))
+                        tree.put(_key(i), _value(value_seed + i))
                         model[_key(i)] = _value(value_seed + i)
                     else:
                         assert tree.delete(_key(i)) == (model.pop(_key(i), None)

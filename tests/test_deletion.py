@@ -20,7 +20,7 @@ def _value(i: int) -> bytes:
 class TestBPlusTreeDelete:
     def test_delete_existing(self, tmp_path):
         tree = BPlusTree(str(tmp_path / "t.db"))
-        tree.insert(_key(1), _value(1))
+        tree.put(_key(1), _value(1))
         assert tree.delete(_key(1)) is True
         assert tree.get(_key(1)) is None
         assert len(tree) == 0
@@ -33,16 +33,16 @@ class TestBPlusTreeDelete:
 
     def test_delete_then_reinsert(self, tmp_path):
         tree = BPlusTree(str(tmp_path / "t.db"))
-        tree.insert(_key(5), _value(5))
+        tree.put(_key(5), _value(5))
         tree.delete(_key(5))
-        tree.insert(_key(5), _value(55))
+        tree.put(_key(5), _value(55))
         assert tree.get(_key(5)) == _value(55)
         tree.close()
 
     def test_range_skips_deleted(self, tmp_path):
         tree = BPlusTree(str(tmp_path / "t.db"))
         for i in range(20):
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         for i in range(0, 20, 2):
             tree.delete(_key(i))
         keys = [k for k, _ in tree.range(_key(0), _key(20))]
@@ -53,7 +53,7 @@ class TestBPlusTreeDelete:
         tree = BPlusTree(str(tmp_path / "t.db"))
         n = 1000
         for i in range(n):
-            tree.insert(_key(i), _value(i))
+            tree.put(_key(i), _value(i))
         for i in range(0, n, 3):
             assert tree.delete(_key(i))
         assert len(tree) == n - len(range(0, n, 3))
@@ -65,8 +65,8 @@ class TestBPlusTreeDelete:
     def test_delete_persists(self, tmp_path):
         path = str(tmp_path / "t.db")
         tree = BPlusTree(path)
-        tree.insert(_key(1), _value(1))
-        tree.insert(_key(2), _value(2))
+        tree.put(_key(1), _value(1))
+        tree.put(_key(2), _value(2))
         tree.delete(_key(1))
         tree.close()
         reopened = BPlusTree(path)

@@ -31,7 +31,6 @@ from repro.data import (
     generate_trucks,
 )
 from repro.service import catalog
-from repro.service.backends import LSMResultBackend
 from repro.service.durability import FeedWAL, ServiceJournal
 from repro.service.index import ConvoyIndex
 from repro.service.retention import (
@@ -39,6 +38,7 @@ from repro.service.retention import (
     ColdSegmentReader,
     ColdSegmentStore,
 )
+from repro.storage.lsm import LSMTree
 
 _WORKLOADS = {
     "trucks": (
@@ -298,7 +298,7 @@ class TestLazyDeleteBackend:
             assert added is not None
 
     def test_compaction_drops_aged_rows(self, tmp_path):
-        backend = LSMResultBackend(
+        backend = LSMTree(
             str(tmp_path / "lsm"), memtable_limit=512, compaction_fanin=3
         )
         index = ConvoyIndex(backend)

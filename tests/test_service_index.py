@@ -1,9 +1,11 @@
 """Persistent convoy index: encodings, backends, maximality, reopening."""
 
+import random
+
 import pytest
 
 from repro.core import Convoy
-from repro.service import ConvoyIndex, open_backend
+from repro.service import ConvoyIndex, ResultBackend, open_backend
 from repro.service.records import (
     decode_result_key,
     member_chunks,
@@ -55,6 +57,78 @@ def _backend(kind, tmp_path):
     if kind == "bptree":
         return open_backend("bptree", str(tmp_path / "convoys.bpt"))
     return open_backend("lsmt", str(tmp_path / "convoys.lsm"))
+
+
+@pytest.mark.parametrize("kind", ["memory", "bptree", "lsmt"])
+class TestResultBackendProtocol:
+    """Every kind ``open_backend`` returns answers the same verbs the same way."""
+
+    def test_meets_the_protocol(self, kind, tmp_path):
+        backend = _backend(kind, tmp_path)
+        assert isinstance(backend, ResultBackend)
+        backend.close()
+
+    def test_behaves_like_a_sorted_dict(self, kind, tmp_path):
+        rng = random.Random(7)
+        backend = _backend(kind, tmp_path)
+        model = {}
+        # Enough keys that B+tree leaves split; flushes put LSM runs under
+        # the memtable so later overwrites and deletes shadow older rows.
+        for step in range(1200):
+            key = rng.randrange(500).to_bytes(16, "big")
+            if rng.random() < 0.25:
+                backend.delete(key)
+                model.pop(key, None)
+            else:
+                value = step.to_bytes(16, "big")
+                backend.put(key, value)
+                model[key] = value
+            if step % 300 == 299:
+                backend.flush()
+        for i in range(520):
+            key = i.to_bytes(16, "big")
+            assert backend.get(key) == model.get(key)
+        for lo, hi in [(0, 499), (17, 17), (100, 260), (480, 600), (300, 200)]:
+            lo_key, hi_key = lo.to_bytes(16, "big"), hi.to_bytes(16, "big")
+            expected = sorted((k, v) for k, v in model.items() if lo_key <= k <= hi_key)
+            assert list(backend.range(lo_key, hi_key)) == expected
+        backend.close()
+
+
+
+@pytest.mark.parametrize("kind", ["bptree", "lsmt"])
+def test_rows_survive_flush_and_close(kind, tmp_path):
+    backend = _backend(kind, tmp_path)
+    key, value = (5).to_bytes(16, "big"), (6).to_bytes(16, "big")
+    backend.put(key, value)
+    backend.delete((9).to_bytes(16, "big"))
+    backend.flush()
+    backend.close()
+    reopened = _backend(kind, tmp_path)
+    assert reopened.get(key) == value
+    assert list(reopened.range(bytes(16), b"\xff" * 16)) == [(key, value)]
+    reopened.close()
+
+
+@pytest.mark.parametrize("kind", ["bptree", "lsmt"])
+def test_open_backend_needs_a_path(kind):
+    with pytest.raises(ValueError, match="needs a path"):
+        open_backend(kind)
+
+
+@pytest.mark.parametrize("kind", ["bptree", "lsmt"])
+def test_open_backend_creates_missing_parent_directories(kind, tmp_path):
+    path = tmp_path / "a" / "b" / "convoys"
+    backend = open_backend(kind, str(path))
+    backend.put(b"k" * 16, b"v" * 16)
+    backend.flush()
+    backend.close()
+    assert path.exists()
+
+
+def test_open_backend_rejects_unknown_kind(tmp_path):
+    with pytest.raises(ValueError, match="unknown backend"):
+        open_backend("sqlite", str(tmp_path / "x"))
 
 
 @pytest.mark.parametrize("kind", ["memory", "bptree", "lsmt"])

@@ -1,11 +1,15 @@
 """Streaming monitor and parallel k/2-hop (both must match the batch miner)."""
 
+import threading
+
 import pytest
 
 from repro.baselines import mine_pccd
 from repro.core import ConvoyQuery, K2Hop
+from repro.core import k2hop as k2hop_module
 from repro.data import plant_convoys, random_walk_dataset
 from repro.extensions import StreamingConvoyMonitor, mine_convoys_parallel, replay
+from repro.obs import METRICS
 
 
 class TestStreamingMonitor:
@@ -96,6 +100,59 @@ class TestParallelMiner:
         parallel = mine_convoys_parallel(planted.dataset, planted_query, max_workers=4)
         # Thread-safe accounting: same totals as the sequential run.
         assert parallel.stats.points_processed == sequential.stats.points_processed
+
+    def test_run_is_counted_in_mining_metrics(self, planted, planted_query):
+        """A parallel run reaches /metrics like a sequential one does."""
+        runs = METRICS.value("repro_mining_runs_total")
+        convoys = METRICS.value("repro_mining_convoys_total")
+        result = mine_convoys_parallel(planted.dataset, planted_query, max_workers=2)
+        assert result.convoys
+        assert METRICS.value("repro_mining_runs_total") == runs + 1
+        assert METRICS.value("repro_mining_convoys_total") == convoys + len(result.convoys)
+
+    def test_both_window_stages_go_through_map(self, planted, planted_query):
+        """Benchmark clustering and HWMT are the stages a subclass may spread out."""
+        calls = []
+
+        class Recording(K2Hop):
+            def _map(self, fn, items):
+                items = list(items)
+                calls.append(len(items))
+                return super()._map(fn, items)
+
+        result = Recording(planted_query).mine(planted.dataset)
+        points = result.stats.benchmark_point_count
+        assert calls == [points, points - 1]
+        assert result.convoys == K2Hop(planted_query).mine(planted.dataset).convoys
+
+    def test_patched_stage_functions_reach_the_pool(
+        self, planted, planted_query, monkeypatch
+    ):
+        """Profilers patch k2hop's module globals; the pool must call the patches."""
+        seen = []
+        for name in ("cluster_benchmark_point", "mine_hop_window"):
+            original = getattr(k2hop_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                seen.append((_name, threading.current_thread().name))
+                return _original(*args)
+
+            monkeypatch.setattr(k2hop_module, name, counted)
+        result = mine_convoys_parallel(planted.dataset, planted_query, max_workers=2)
+        points = result.stats.benchmark_point_count
+        assert sum(n == "cluster_benchmark_point" for n, _ in seen) == points
+        assert sum(n == "mine_hop_window" for n, _ in seen) == points - 1
+        main = threading.current_thread().name
+        assert all(thread != main for _, thread in seen)
+
+    def test_pool_is_shut_down_after_mine(self, planted, planted_query):
+        before = set(threading.enumerate())
+        mine_convoys_parallel(planted.dataset, planted_query, max_workers=3)
+        assert set(threading.enumerate()) <= before
+
+    def test_non_positive_worker_count_rejected(self, planted, planted_query):
+        with pytest.raises(ValueError):
+            mine_convoys_parallel(planted.dataset, planted_query, max_workers=0)
 
     def test_k1_fallback(self):
         ds = random_walk_dataset(n_objects=6, duration=6, seed=0)
