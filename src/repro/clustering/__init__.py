@@ -1,4 +1,4 @@
-"""Density-based clustering substrate (DBSCAN + spatial indexes)."""
+"""Density-based clustering substrate (DBSCAN on CSR neighborhoods)."""
 
 from .csr import build_neighbor_csr, csr_degrees
 from .dbscan import (
@@ -10,13 +10,11 @@ from .dbscan import (
     density_cluster_indices,
     density_cluster_indices_scalar,
 )
-from .grid import GridIndex
 from .neighbors import BruteForceIndex
 from .unionfind import UnionFind
 
 __all__ = [
     "BruteForceIndex",
-    "GridIndex",
     "UnionFind",
     "build_neighbor_csr",
     "cluster_snapshot",

@@ -33,6 +33,12 @@ _EMPTY_INDPTR = np.zeros(1, dtype=np.int64)
 _EMPTY_INDICES = np.empty(0, dtype=np.int64)
 
 
+def check_eps(eps: float) -> None:
+    """Reject a non-positive or NaN clustering radius."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+
+
 def build_neighbor_csr(
     xs: np.ndarray, ys: np.ndarray, eps: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -41,8 +47,7 @@ def build_neighbor_csr(
     ``indices[indptr[i]:indptr[i+1]]`` lists, in ascending order, all ``j``
     with ``d(p_i, p_j) <= eps`` — including ``i`` itself.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape:

@@ -1,31 +1,22 @@
-"""Neighbor-search indexes used by DBSCAN.
+"""Brute-force neighbor search for the scalar DBSCAN oracles.
 
-Every index answers range queries: "which points lie within ``eps`` of point
-``i``?".  Distances are Euclidean and neighborhoods *include* the query point
-itself, matching the paper's ``NH(p, eps) = {q | d(p, q) <= eps}``.
+A range query answers "which points lie within ``eps`` of point ``i``?".
+Distances are Euclidean and neighborhoods *include* the query point itself,
+matching the paper's ``NH(p, eps) = {q | d(p, q) <= eps}``.
 """
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import List
 
 import numpy as np
-
-
-class NeighborIndex(Protocol):
-    """Protocol for spatial indexes over a fixed set of 2-D points."""
-
-    def neighbors(self, i: int, eps: float) -> np.ndarray:
-        """Indices of all points within ``eps`` of point ``i`` (inclusive)."""
-        ...
 
 
 class BruteForceIndex:
     """O(n) range queries by full distance computation.
 
-    The reference implementation every other index is tested against; also
-    the fastest choice for tiny snapshots (vectorised numpy beats index
-    overhead below a few dozen points).
+    The reference the CSR neighborhood builder is tested against, and the
+    neighbor search of the per-point BFS oracles in :mod:`.dbscan`.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):

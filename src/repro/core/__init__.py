@@ -2,7 +2,6 @@
 
 from .bench_points import HopWindow, benchmark_points, hop_windows
 from .bitset import ObjectInterner, is_submask, mask_size
-from .enginemode import engine_mode, scalar_engine, set_engine_mode, vectorized_engine
 from .k2hop import K2Hop, MiningResult, mine_convoys
 from .params import ConvoyQuery
 from .stats import MiningStats
@@ -32,15 +31,11 @@ __all__ = [
     "as_cluster",
     "benchmark_points",
     "cached_mask",
-    "engine_mode",
     "hop_windows",
     "is_submask",
     "mask_size",
     "maximal_convoys",
     "mine_convoys",
-    "scalar_engine",
-    "set_engine_mode",
     "sort_convoys",
     "update_maximal",
-    "vectorized_engine",
 ]

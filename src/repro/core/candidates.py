@@ -7,9 +7,9 @@ worth re-clustering inside the window — are the pairwise intersections of
 the two bordering benchmark cluster sets with at least ``m`` survivors
 (Lemma 5).  Everything else is pruned without ever being read.
 
-The intersection runs on bitset masks by default (one ``&`` plus a
-popcount per cluster pair); :func:`intersect_cluster_sets_scalar` keeps
-the frozenset loop as the oracle.
+The intersection runs on bitset masks (one ``&`` plus a popcount per
+cluster pair); :func:`intersect_cluster_sets_scalar` keeps the frozenset
+loop as the test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 
 from ..clustering import cluster_snapshot
 from .bitset import ObjectInterner
-from .enginemode import use_scalar
 from .params import ConvoyQuery
 from .source import TrajectorySource
 from .stats import MiningStats
@@ -47,8 +46,6 @@ def intersect_cluster_sets(
     each right cluster in at most one candidate; exact duplicates across
     pairs are impossible, but we deduplicate defensively anyway.
     """
-    if use_scalar():
-        return intersect_cluster_sets_scalar(left, right, m)
     interner = ObjectInterner()
     left_masks = interner.masks_of(left)
     right_masks = interner.masks_of(right)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .enginemode import use_scalar
+from .bitset import ObjectMask
 from .hwmt import recluster
 from .params import ConvoyQuery
 from .source import TrajectorySource
@@ -86,11 +86,9 @@ def _advance(
     Convoys that do not survive in their current shape are closed into
     ``results`` (Algorithm 3, lines 7-13); every resulting cluster becomes
     a frontier convoy with the extended lifespan.  Frontier deduplication
-    keys on cached bitset masks (one int hash per cluster); the scalar
-    oracle keeps the frozenset keys.
+    keys on cached bitset masks (one int hash per cluster).
     """
-    key_of = (lambda cluster: cluster) if use_scalar() else cached_mask
-    next_frontier: Dict[Tuple[object, Timestamp], Convoy] = {}
+    next_frontier: Dict[Tuple[ObjectMask, Timestamp], Convoy] = {}
     for convoy in frontier:
         clusters = recluster(source, t, convoy.objects, query, stats, phase)
         if not clusters:
@@ -103,7 +101,7 @@ def _advance(
             interval = TimeInterval(t, convoy.end)
             anchor = convoy.end
         for cluster in clusters:
-            key = (key_of(cluster), anchor)
+            key = (cached_mask(cluster), anchor)
             if key not in next_frontier:
                 next_frontier[key] = Convoy(cluster, interval)
         if convoy.objects not in clusters:

@@ -6,9 +6,7 @@ the *farthest-apart* timestamps are clustered first.  Objects that are only
 coincidentally together at adjacent ticks are unlikely to be together at
 distant ticks, so this order empties the candidate set as early as possible.
 Candidates that die at the root cost exactly one tick of reads; each root
-survivor then prefetches the rest of its window in one batched fetch (the
-scalar oracle path keeps the original fetch-per-tick behaviour, where a
-dying window never reads its remaining ticks).
+survivor then prefetches the rest of its window in one batched fetch.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 from ..clustering import cluster_snapshot
 from .bench_points import HopWindow
 from .bitset import ObjectInterner
-from .enginemode import use_scalar
 from .params import ConvoyQuery
 from .source import TrajectorySource, fetch_points_for_many, select_sorted_rows
 from .stats import MiningStats
@@ -90,11 +87,6 @@ def mine_hop_window(
     """
     if not candidates:
         return []
-    # In scalar oracle mode, run the original per-tick loop deduping on the
-    # frozensets themselves, so the differential tests pit the original
-    # path against the interner + prefetch machinery.
-    if use_scalar():
-        return _mine_hop_window_scalar(source, window, candidates, query, stats)
     order = hwmt_order(window.left, window.right)
     interval = TimeInterval(window.left, window.right)
     if not order:
@@ -129,30 +121,6 @@ def mine_hop_window(
                 return []
             frontier = next_frontier
         surviving = [cluster for cluster, _ in frontier]
-    return [Convoy(cluster, interval) for cluster in surviving]
-
-
-def _mine_hop_window_scalar(
-    source: TrajectorySource,
-    window: HopWindow,
-    candidates: Sequence[Cluster],
-    query: ConvoyQuery,
-    stats: Optional[MiningStats] = None,
-) -> List[Convoy]:
-    """Original per-tick fetch loop (the oracle path)."""
-    surviving: List[Cluster] = list(candidates)
-    for t in hwmt_order(window.left, window.right):
-        next_surviving: List[Cluster] = []
-        seen = set()
-        for candidate in surviving:
-            for cluster in recluster(source, t, candidate, query, stats):
-                if cluster not in seen:
-                    seen.add(cluster)
-                    next_surviving.append(cluster)
-        if not next_surviving:
-            return []
-        surviving = next_surviving
-    interval = TimeInterval(window.left, window.right)
     return [Convoy(cluster, interval) for cluster in surviving]
 
 

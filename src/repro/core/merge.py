@@ -5,11 +5,10 @@ convoys open at the shared benchmark point are intersected with the next
 window's spanning convoys.  A convoy that does not continue *as a whole*
 is closed — it is a maximal spanning convoy (Definition 9) unless subsumed.
 
-The default implementation interns every object id once and runs the
-whole merge — intersections, whole-continuation tests, and subsumption
+The merge interns every object id once and runs the whole merge — intersections, whole-continuation tests, and subsumption
 filtering — on big-int bitset masks, materializing frozensets only for
 the final result.  :func:`merge_spanning_convoys_scalar` keeps the
-original frozenset code as the oracle.
+original frozenset code as the test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .bitset import ObjectInterner, ObjectMask
-from .enginemode import use_scalar
 from .types import Convoy, TimeInterval, update_maximal
 
 #: Internal merge currency: ``(object mask, start, end)``.
@@ -57,8 +55,6 @@ def merge_spanning_convoys(
     (the invariant is checked).  Returns mutually non-subsumed convoys with
     benchmark-aligned lifespans.
     """
-    if use_scalar():
-        return merge_spanning_convoys_scalar(windows, m)
     interner = ObjectInterner()
     closed: List[_MaskConvoy] = []
     open_convoys: List[_MaskConvoy] = []  # all end at the upcoming window's left edge

@@ -11,11 +11,11 @@ cluster at every tick since ``s`` as a subset of a tracked candidate, then
 ``(O', [s, t])`` is itself a convoy, so intersections may inherit their
 parent's start time.
 
-The default implementation runs the candidate algebra on big-int bitset
-masks (:mod:`repro.core.bitset`): each tick's clusters are interned once
-and the inner candidate x cluster loop is pure ``&`` / ``bit_count`` /
-``==`` on ints.  :func:`sweep_restricted_scalar` is the original
-frozenset implementation, kept as the oracle.
+The candidate algebra runs on big-int bitset masks
+(:mod:`repro.core.bitset`): each tick's clusters are interned once and the
+inner candidate x cluster loop is pure ``&`` / ``bit_count`` / ``==`` on
+ints.  :func:`sweep_restricted_scalar` is the original frozenset
+implementation, kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional
 
 from ..clustering import cluster_snapshot
 from .bitset import ObjectInterner, ObjectMask
-from .enginemode import use_scalar
 from .params import ConvoyQuery
 from .source import TrajectorySource
 from .stats import MiningStats
@@ -45,10 +44,6 @@ def sweep_restricted(
     ``objects=None`` sweeps the unrestricted database (used by the ``k < 2``
     fallback path of :class:`repro.core.k2hop.K2Hop`).
     """
-    if use_scalar():
-        return sweep_restricted_scalar(
-            source, objects, start, end, query, stats, phase
-        )
     wanted = sorted(set(objects)) if objects is not None else None
     interner = ObjectInterner()
     m = query.m

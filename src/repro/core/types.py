@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from .bitset import ObjectInterner, ObjectMask
-from .enginemode import use_scalar
 
 ObjectId = int
 Timestamp = int
@@ -161,16 +160,8 @@ def update_maximal(result: List[Convoy], candidate: Convoy) -> bool:
     Adds *candidate* to *result* unless it is a sub-convoy of an existing
     entry; removes existing entries that are sub-convoys of *candidate*.
     Returns ``True`` when the candidate was inserted.  The subset tests run
-    on cached bitset masks (one int ``&`` per pair) except in scalar oracle
-    mode, which keeps the original frozenset comparisons.
+    on cached bitset masks (one int ``&`` per pair).
     """
-    if use_scalar():
-        for existing in result:
-            if candidate.is_subconvoy_of(existing):
-                return False
-        result[:] = [c for c in result if not c.is_subconvoy_of(candidate)]
-        result.append(candidate)
-        return True
     mask = _MASK_CACHE.mask
     cand_mask = mask(candidate.objects)
     cand_start, cand_end = candidate.interval.start, candidate.interval.end

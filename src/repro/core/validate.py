@@ -16,7 +16,6 @@ from collections import deque
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .bitset import ObjectInterner, ObjectMask
-from .enginemode import use_scalar
 from .hwmt import hwmt_order, recluster
 from .params import ConvoyQuery
 from .source import TrajectorySource
@@ -59,16 +58,10 @@ def validate_convoys(
     bitset masks plus lifespans, so re-discovered fragments cost one int
     hash instead of a frozenset hash.
     """
-    if use_scalar():
-        # Oracle mode: dedup on the convoys themselves (the original path).
-        def key(convoy: Convoy) -> Convoy:
-            return convoy
+    interner = ObjectInterner()
 
-    else:
-        interner = ObjectInterner()
-
-        def key(convoy: Convoy) -> Tuple[ObjectMask, Timestamp, Timestamp]:
-            return interner.mask_of(convoy.objects), convoy.start, convoy.end
+    def key(convoy: Convoy) -> Tuple[ObjectMask, Timestamp, Timestamp]:
+        return interner.mask_of(convoy.objects), convoy.start, convoy.end
 
     queue = deque(
         c for c in candidates if c.duration >= query.k and c.size >= query.m

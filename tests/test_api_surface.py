@@ -98,6 +98,28 @@ def test_second_front_door_and_store_wrappers_are_gone(module, name):
         getattr(importlib.import_module(module), name)
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.core", "engine_mode"),
+        ("repro.core", "set_engine_mode"),
+        ("repro.core", "scalar_engine"),
+        ("repro.core", "vectorized_engine"),
+        ("repro.clustering", "GridIndex"),
+    ],
+)
+def test_engine_switch_and_grid_index_are_gone(module, name):
+    """k/2-hop has one code path: no process-wide scalar/vectorized switch,
+    and no per-point grid index behind it."""
+    with pytest.raises(AttributeError, match=name):
+        getattr(importlib.import_module(module), name)
+
+
+def test_engine_switch_module_is_gone():
+    with pytest.raises(ModuleNotFoundError, match="enginemode"):
+        importlib.import_module("repro.core.enginemode")
+
+
 @pytest.mark.parametrize("kind, tree", [("bptree", BPlusTree), ("lsmt", LSMTree)])
 def test_open_backend_returns_the_tree_itself(tmp_path, kind, tree):
     backend = open_backend(kind, str(tmp_path / kind))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.clustering import (
     cluster_snapshot,
+    cluster_snapshot_with_cores,
     dbscan_labels,
     dbscan_reference,
     density_cluster_indices,
@@ -150,3 +151,14 @@ class TestDefinition2Clusters:
         for cluster in clusters:
             covered.update(cluster)
         assert set(core.tolist()) <= covered
+
+
+@pytest.mark.parametrize("entry", [cluster_snapshot, cluster_snapshot_with_cores])
+@pytest.mark.parametrize("eps", [-5.0, 0.0, float("nan")])
+@pytest.mark.parametrize("n", [4, 100, 200])
+def test_invalid_eps_rejected_at_every_snapshot_size(entry, eps, n):
+    # n=4 takes the tiny pure-Python path, 100 the dense CSR path and 200
+    # the grid CSR path; the radius check must not depend on which runs.
+    xs = np.arange(n, dtype=np.float64)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        entry(list(range(n)), xs, np.zeros(n), eps, 2)

@@ -1,4 +1,4 @@
-"""Spatial indexes: the grid and the CSR builder agree with brute force."""
+"""Neighbor search: the CSR builder's grid path agrees with brute force."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.clustering import BruteForceIndex, GridIndex, build_neighbor_csr
+from repro.clustering import BruteForceIndex, build_neighbor_csr
 from repro.clustering.csr import DENSE_THRESHOLD
 from repro.clustering.neighbors import pairwise_neighbor_lists
 
@@ -42,73 +42,50 @@ class TestBruteForceIndex:
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("eps", [1.0, 5.0, 20.0])
-def test_grid_matches_brute_force(seed, eps):
-    xs, ys = _points(seed)
-    grid = GridIndex(xs, ys, eps)
-    brute = BruteForceIndex(xs, ys)
-    for i in range(len(xs)):
-        assert sorted(grid.neighbors(i, eps).tolist()) == sorted(
-            brute.neighbors(i, eps).tolist()
-        )
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("eps", [1.0, 5.0, 20.0])
 def test_csr_grid_path_matches_brute_force(seed, eps):
     # Enough points to take the grid-stencil path, not the dense one.
     xs, ys = _points(seed, n=2 * DENSE_THRESHOLD)
+    _assert_csr_matches_brute_force(xs, ys, eps)
+
+
+def _assert_csr_matches_brute_force(xs, ys, eps, rows=None):
     indptr, indices = build_neighbor_csr(xs, ys, eps)
     brute = BruteForceIndex(xs, ys)
-    for i in range(len(xs)):
+    for i in range(len(xs)) if rows is None else rows:
         row = indices[indptr[i] : indptr[i + 1]]
-        assert row.tolist() == sorted(brute.neighbors(i, eps).tolist())
+        assert row.tolist() == brute.neighbors(i, eps).tolist()
 
 
-def test_grid_handles_duplicates():
-    xs = np.array([1.0, 1.0, 1.0, 5.0])
-    ys = np.array([2.0, 2.0, 2.0, 5.0])
-    grid = GridIndex(xs, ys, 0.1)
-    assert set(grid.neighbors(0, 0.1).tolist()) == {0, 1, 2}
+def test_csr_grid_path_handles_duplicates():
+    # A stacked block of identical coordinates inside a grid-sized cloud:
+    # every copy shares one cell and must see all the others.
+    xs, ys = _points(1, n=DENSE_THRESHOLD + 20)
+    xs[:12], ys[:12] = 1.0, 2.0
+    indptr, indices = build_neighbor_csr(xs, ys, 0.1)
+    assert set(range(12)) <= set(indices[indptr[0] : indptr[1]].tolist())
+    _assert_csr_matches_brute_force(xs, ys, 0.1)
 
 
-def test_grid_empty():
-    grid = GridIndex(np.empty(0), np.empty(0), 10.0)
-    assert len(grid) == 0
-
-
-def test_grid_large_set_matches_brute_force():
+def test_csr_grid_path_large_set_matches_brute_force():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1000, size=(5000, 2))
-    grid = GridIndex(pts[:, 0], pts[:, 1], 30.0)
-    brute = BruteForceIndex(pts[:, 0], pts[:, 1])
-    for i in range(0, len(pts), 97):
-        assert sorted(grid.neighbors(i, 30.0).tolist()) == sorted(
-            brute.neighbors(i, 30.0).tolist()
-        )
+    _assert_csr_matches_brute_force(
+        pts[:, 0], pts[:, 1], 30.0, rows=range(0, len(pts), 97)
+    )
 
 
-def test_grid_rejects_queries_beyond_cell_size():
-    xs, ys = _points(0, n=10)
-    grid = GridIndex(xs, ys, 2.0)
-    with pytest.raises(ValueError):
-        grid.neighbors(0, 5.0)
-
-
-def test_grid_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        GridIndex(np.zeros(2), np.zeros(2), 0.0)
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_csr_rejects_nonpositive_eps(eps):
+    xs, ys = _points(0, n=DENSE_THRESHOLD + 1)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        build_neighbor_csr(xs, ys, eps)
 
 
 @given(st.integers(0, 10_000), st.floats(0.5, 30.0))
 @settings(max_examples=25, deadline=None)
-def test_property_grid_and_brute_force_agree(seed, eps):
-    xs, ys = _points(seed, n=30)
-    grid = GridIndex(xs, ys, eps)
-    brute = BruteForceIndex(xs, ys)
-    for i in range(len(xs)):
-        assert sorted(grid.neighbors(i, eps).tolist()) == sorted(
-            brute.neighbors(i, eps).tolist()
-        )
+def test_property_csr_grid_path_and_brute_force_agree(seed, eps):
+    xs, ys = _points(seed, n=DENSE_THRESHOLD + 10)
+    _assert_csr_matches_brute_force(xs, ys, eps)
 
 
 def test_pairwise_helper_symmetry():

@@ -1,10 +1,11 @@
-"""Vectorized engine == scalar oracle, property-tested across random seeds.
+"""Vectorized engine == scalar oracles, property-tested across random seeds.
 
-The PR contract for the CSR + union-find clustering engine and the bitset
+The contract for the CSR + union-find clustering engine and the bitset
 convoy algebra is *byte-identical output*: identical label arrays,
 identical Definition-2 cluster lists (including shared-border-point and
 duplicate-coordinate cases), identical convoys from the bitset sweep and
-merge, and identical end-to-end k/2-hop results under both engine modes.
+merge, and end-to-end k/2-hop results identical to the brute-force
+subset-enumeration oracle.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ from repro.clustering import (
     density_cluster_indices_scalar,
 )
 from repro.clustering.unionfind import UnionFind
-from repro.core import ConvoyQuery, K2Hop, scalar_engine, sort_convoys
+from repro.baselines import mine_oracle
+from repro.core import ConvoyQuery, K2Hop, sort_convoys
 from repro.core.bitset import ObjectInterner, is_submask, mask_size
 from repro.core.candidates import (
     intersect_cluster_sets,
@@ -262,17 +264,13 @@ class TestEndToEndEquivalence:
             n_objects=10, duration=24, extent=50.0, step=8.0, seed=seed
         )
         query = ConvoyQuery(m=3, k=6, eps=12.0)
-        vectorized = K2Hop(query).mine(ds)
-        with scalar_engine():
-            scalar = K2Hop(query).mine(ds)
-        assert sort_convoys(vectorized.convoys) == sort_convoys(scalar.convoys)
+        mined = K2Hop(query).mine(ds).convoys
+        assert sort_convoys(mined) == sort_convoys(mine_oracle(ds, query))
 
     def test_degenerate_k_identical_across_engines(self):
         ds = random_walk_dataset(
             n_objects=7, duration=10, extent=30.0, step=6.0, seed=11
         )
         query = ConvoyQuery(m=2, k=1, eps=10.0)
-        vectorized = K2Hop(query).mine(ds)
-        with scalar_engine():
-            scalar = K2Hop(query).mine(ds)
-        assert sort_convoys(vectorized.convoys) == sort_convoys(scalar.convoys)
+        mined = K2Hop(query).mine(ds).convoys
+        assert sort_convoys(mined) == sort_convoys(mine_oracle(ds, query))
